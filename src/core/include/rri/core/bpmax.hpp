@@ -16,12 +16,18 @@
 ///   kSerialPermuted triangle-by-triangle with vectorizable inner loops
 ///                   (Phase-I loop permutation), single thread.
 ///   kCoarse         threads own distinct inner triangles (Table III).
-///   kFine           threads cooperate on rows of one triangle; the
-///                   R1/R2 finalization stays serial (Table II).
-///   kHybrid         fine-grain for R0/R3/R4, coarse-grain for the
-///                   F/R1/R2 finalization (Table IV).
+///   kFine           threads take row blocks of one triangle, each
+///                   sweeping every k1 split; the R1/R2 finalization
+///                   stays serial (Table II).
+///   kHybrid         row blocks of every triangle on the diagonal for
+///                   R0/R3/R4, coarse-grain for the F/R1/R2
+///                   finalization (Table IV).
 ///   kHybridTiled    hybrid + rectangular tiling of the dominant double
 ///                   max-plus band (Table V); the paper's best.
+///
+/// fine, hybrid and hybrid_tiled are presets of one driver
+/// (fill_scheduled in bpmax_kernels.hpp); their row blocks are tile.ti2
+/// rows high.
 
 #include <string>
 #include <vector>
@@ -60,6 +66,8 @@ struct TileShape3 {
 
 struct BpmaxOptions {
   Variant variant = Variant::kHybridTiled;
+  /// Band tile for kHybridTiled; its ti2 is also the row-block height of
+  /// the fine/hybrid/hybrid_tiled work items.
   TileShape3 tile{};
   /// OpenMP thread count for parallel variants; 0 keeps the runtime's
   /// current setting.

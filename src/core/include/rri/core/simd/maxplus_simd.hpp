@@ -81,12 +81,6 @@ bool set_backend(Backend b) noexcept;
 /// next active_backend() call.
 void reset_backend() noexcept;
 
-/// Preferred i2-row grain for callers parceling rows across threads:
-/// the register-tile height of the active backend (1 when the backend
-/// does not register-tile). Handing the kernels row blocks of this size
-/// lets the accumulator tile stay in registers across the k2 sweep.
-int row_block() noexcept;
-
 /// The backend the dispatched kernels use for `algebra`. The tropical
 /// kernels follow active_backend(); the log-sum-exp kernels have a
 /// scalar implementation only today, so they report kScalar no matter

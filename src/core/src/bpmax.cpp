@@ -66,14 +66,14 @@ void fill_variant(FTable& f, const STable& s1t, const STable& s2t,
       fill_coarse(f, s1t, s2t, scores);
       return;
     case Variant::kFine:
-      fill_fine(f, s1t, s2t, scores);
+      fill_scheduled(f, s1t, s2t, scores, kFineSchedule, options.tile);
       return;
     case Variant::kHybrid:
-      fill_hybrid(f, s1t, s2t, scores);
+      fill_scheduled(f, s1t, s2t, scores, kHybridSchedule, options.tile);
       return;
     case Variant::kHybridTiled:
-      fill_hybrid_tiled(f, s1t, s2t, scores, options.tile,
-                        options.r12_jblock);
+      fill_scheduled(f, s1t, s2t, scores, kHybridTiledSchedule, options.tile,
+                     options.r12_jblock);
       return;
   }
 }

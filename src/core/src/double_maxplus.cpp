@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <limits>
 
+#include "rri/core/detail/band_items.hpp"
 #include "rri/core/simd/maxplus_simd.hpp"
 #include "rri/harness/flops.hpp"
 #include "rri/obs/obs.hpp"
 #include "rri/semiring/logsumexp.hpp"
-#include "rri/trace/trace.hpp"
 
 namespace rri::core {
 
@@ -47,75 +47,92 @@ bool is_input_cell(int i1, int j1, int i2, int j2) {
 
 /// Write the input values of triangle (i1, j1): its d2 == 0 diagonal, or
 /// every cell when d1 == 0.
-void write_inputs(FTable& f, std::uint64_t seed, int i1, int j1) {
+template <typename T>
+void write_inputs(BasicFTable<T>& f, std::uint64_t seed, int i1, int j1) {
   const int n = f.n();
-  if (i1 == j1) {
-    for (int i2 = 0; i2 < n; ++i2) {
-      for (int j2 = i2; j2 < n; ++j2) {
-        f.at(i1, j1, i2, j2) = dmp_input_value(seed, i1, j1, i2, j2);
-      }
-    }
-  } else {
-    for (int i2 = 0; i2 < n; ++i2) {
-      f.at(i1, j1, i2, i2) = dmp_input_value(seed, i1, j1, i2, i2);
+  for (int i2 = 0; i2 < n; ++i2) {
+    for (int j2 = i2; j2 < (i1 == j1 ? n : i2 + 1); ++j2) {
+      f.at(i1, j1, i2, j2) =
+          static_cast<T>(dmp_input_value(seed, i1, j1, i2, j2));
     }
   }
 }
 
-/// Accumulate all k1 split instances into triangle (i1, j1) under the
-/// chosen variant, then restore the triangle's input diagonal (nothing in
-/// this triangle reads it during accumulation, so overwrite order is
-/// irrelevant). The pure-R0 loop nests themselves live behind the
-/// simd:: dispatch layer (src/simd/), shared with the BPMax band stage.
-void fill_triangle(FTable& f, std::uint64_t seed, int i1, int j1,
-                   DmpVariant v, TileShape3 tile) {
+/// The dispatched pure-R0 kernels one algebra's driver runs.
+template <typename T>
+struct DmpKernels {
+  void (*rows)(T*, const T*, const T*, int, int, int) noexcept;
+  void (*tiled)(T*, const T*, const T*, int, TileShape3, int, int) noexcept;
+  /// kRegTiled's whole-instance kernel; null when the algebra has none
+  /// and kRegTiled runs the row-streamed schedule.
+  void (*regblocked)(T*, const T*, const T*, int) noexcept;
+  const char* span;  ///< trace span name of one band work item
+};
+
+/// Fill every non-baseline variant diagonal by diagonal. kCoarse threads
+/// own the diagonal's triangles; kFine bands one triangle at a time and
+/// kTiled the whole diagonal, as row-block work items that each sweep
+/// every k1 split (detail/band_items.hpp); the serial forms walk the
+/// triangles in order. A triangle's inputs are written after its
+/// accumulation: nothing in the triangle reads them meanwhile, so
+/// overwrite order is irrelevant.
+template <typename T>
+void fill_by_diagonals(BasicFTable<T>& f, std::uint64_t seed, DmpVariant v,
+                       TileShape3 tile, const DmpKernels<T>& kernels) {
+  const int m = f.m();
   const int n = f.n();
-  float* acc = f.block(i1, j1);
-  RRI_OBS_PHASE(obs::Phase::kDmpBand);
-  for (int k1 = i1; k1 < j1; ++k1) {
-    const float* a = f.block(i1, k1);
-    const float* b = f.block(k1 + 1, j1);
-    switch (v) {
-      case DmpVariant::kPermuted:
-      case DmpVariant::kCoarse:
-        simd::r0_rows(acc, a, b, n, 0, n);
-        break;
-      case DmpVariant::kFine: {
-        // Row blocks of the backend's register-tile height: threads get
-        // fine-grained work and the vector backend still register-tiles.
-        const int rb = simd::row_block();
-        const int n_blocks = (n + rb - 1) / rb;
-#pragma omp parallel
-        {
-          RRI_TRACE_SPAN("dmp_band.omp");
-#pragma omp for schedule(dynamic)
-          for (int ib = 0; ib < n_blocks; ++ib) {
-            simd::r0_rows(acc, a, b, n, ib * rb, std::min(ib * rb + rb, n));
-          }
-        }
-        break;
+  const auto serial = [&](int i1, int j1) {
+    RRI_OBS_PHASE(obs::Phase::kDmpBand);
+    for (int k1 = i1; k1 < j1; ++k1) {
+      if (v == DmpVariant::kRegTiled && kernels.regblocked != nullptr) {
+        kernels.regblocked(f.block(i1, j1), f.block(i1, k1),
+                           f.block(k1 + 1, j1), n);
+      } else {
+        kernels.rows(f.block(i1, j1), f.block(i1, k1), f.block(k1 + 1, j1),
+                     n, 0, n);
       }
-      case DmpVariant::kRegTiled:
-        simd::r0_regblocked(acc, a, b, n);
-        break;
-      case DmpVariant::kTiled: {
-        const int ti = tile.ti2 > 0 ? tile.ti2 : n;
-        const int n_tiles = (n + ti - 1) / ti;
-#pragma omp parallel
-        {
-          RRI_TRACE_SPAN("dmp_band.omp");
-#pragma omp for schedule(dynamic)
-          for (int it = 0; it < n_tiles; ++it) {
-            simd::r0_tiled(acc, a, b, n, tile, it, it + 1);
-          }
-        }
-        break;
+    }
+    write_inputs(f, seed, i1, j1);
+  };
+  const auto band = [&](int d1, int first_i1, int count) {
+    {
+      RRI_OBS_PHASE(obs::Phase::kDmpBand);
+      detail::run_band(
+          n, d1, first_i1, count, tile, kernels.span,
+          [&](int i1, int j1, int k1, TileShape3 t, int first, int last) {
+            T* acc = f.block(i1, j1);
+            const T* a = f.block(i1, k1);
+            const T* b = f.block(k1 + 1, j1);
+            if (v == DmpVariant::kTiled) {
+              kernels.tiled(acc, a, b, n, t, first, last);
+            } else {
+              kernels.rows(acc, a, b, n, first * t.ti2,
+                           std::min(last * t.ti2, n));
+            }
+          });
+    }
+    for (int i1 = first_i1; i1 < first_i1 + count; ++i1) {
+      write_inputs(f, seed, i1, i1 + d1);
+    }
+  };
+  for (int d1 = 0; d1 < m; ++d1) {
+    if (v == DmpVariant::kCoarse) {
+#pragma omp parallel for schedule(dynamic)
+      for (int i1 = 0; i1 < m - d1; ++i1) {
+        serial(i1, i1 + d1);
       }
-      case DmpVariant::kBaseline:
-        break;  // handled by fill_baseline_order
+    } else if (v == DmpVariant::kTiled) {
+      band(d1, 0, m - d1);
+    } else {
+      for (int i1 = 0; i1 + d1 < m; ++i1) {
+        if (v == DmpVariant::kFine) {
+          band(d1, i1, 1);
+        } else {
+          serial(i1, i1 + d1);
+        }
+      }
     }
   }
-  write_inputs(f, seed, i1, j1);
 }
 
 /// The original program order: both diagonal loops outermost, per-cell
@@ -184,18 +201,9 @@ FTable solve_double_maxplus(int m, int n, std::uint64_t seed, DmpVariant v,
     fill_baseline_order(f, seed);
     return f;
   }
-  for (int d1 = 0; d1 < m; ++d1) {
-    if (v == DmpVariant::kCoarse) {
-#pragma omp parallel for schedule(dynamic)
-      for (int i1 = 0; i1 < m - d1; ++i1) {
-        fill_triangle(f, seed, i1, i1 + d1, v, tile);
-      }
-    } else {
-      for (int i1 = 0; i1 + d1 < m; ++i1) {
-        fill_triangle(f, seed, i1, i1 + d1, v, tile);
-      }
-    }
-  }
+  fill_by_diagonals(f, seed, v, tile,
+                    DmpKernels<float>{simd::r0_rows, simd::r0_tiled,
+                                      simd::r0_regblocked, "dmp_band.omp"});
   return f;
 }
 
@@ -222,80 +230,15 @@ namespace {
 
 using LogSum = semiring::LogSumExp<double>;
 
-void write_inputs_lse(ZTable& f, std::uint64_t seed, int i1, int j1) {
-  const int n = f.n();
-  if (i1 == j1) {
-    for (int i2 = 0; i2 < n; ++i2) {
-      for (int j2 = i2; j2 < n; ++j2) {
-        f.at(i1, j1, i2, j2) =
-            static_cast<double>(dmp_input_value(seed, i1, j1, i2, j2));
-      }
-    }
-  } else {
-    for (int i2 = 0; i2 < n; ++i2) {
-      f.at(i1, j1, i2, i2) =
-          static_cast<double>(dmp_input_value(seed, i1, j1, i2, i2));
-    }
-  }
-}
-
-void fill_triangle_lse(ZTable& f, std::uint64_t seed, int i1, int j1,
-                       DmpVariant v, TileShape3 tile) {
-  const int n = f.n();
-  double* acc = f.block(i1, j1);
-  RRI_OBS_PHASE(obs::Phase::kDmpBand);
-  for (int k1 = i1; k1 < j1; ++k1) {
-    const double* a = f.block(i1, k1);
-    const double* b = f.block(k1 + 1, j1);
-    switch (v) {
-      case DmpVariant::kPermuted:
-      case DmpVariant::kCoarse:
-      case DmpVariant::kRegTiled:  // no log-domain register kernel yet
-        simd::lse_r0_rows(acc, a, b, n, 0, n);
-        break;
-      case DmpVariant::kFine: {
-        const int rb = simd::row_block();
-        const int n_blocks = (n + rb - 1) / rb;
-#pragma omp parallel
-        {
-          RRI_TRACE_SPAN("dmp_band.lse");
-#pragma omp for schedule(dynamic)
-          for (int ib = 0; ib < n_blocks; ++ib) {
-            simd::lse_r0_rows(acc, a, b, n, ib * rb,
-                              std::min(ib * rb + rb, n));
-          }
-        }
-        break;
-      }
-      case DmpVariant::kTiled: {
-        const int ti = tile.ti2 > 0 ? tile.ti2 : n;
-        const int n_tiles = (n + ti - 1) / ti;
-#pragma omp parallel
-        {
-          RRI_TRACE_SPAN("dmp_band.lse");
-#pragma omp for schedule(dynamic)
-          for (int it = 0; it < n_tiles; ++it) {
-            simd::lse_r0_tiled(acc, a, b, n, tile, it, it + 1);
-          }
-        }
-        break;
-      }
-      case DmpVariant::kBaseline:
-        break;  // handled by fill_baseline_order_lse
-    }
-  }
-  write_inputs_lse(f, seed, i1, j1);
-}
-
 void fill_baseline_order_lse(ZTable& f, std::uint64_t seed) {
   const int m = f.m();
   const int n = f.n();
   for (int i1 = 0; i1 < m; ++i1) {
-    write_inputs_lse(f, seed, i1, i1);
+    write_inputs(f, seed, i1, i1);
   }
   for (int d1 = 1; d1 < m; ++d1) {
     for (int i1 = 0; i1 + d1 < m; ++i1) {
-      write_inputs_lse(f, seed, i1, i1 + d1);
+      write_inputs(f, seed, i1, i1 + d1);
     }
     for (int d2 = 1; d2 < n; ++d2) {
       for (int i1 = 0; i1 + d1 < m; ++i1) {
@@ -338,18 +281,9 @@ ZTable solve_double_lse(int m, int n, std::uint64_t seed, DmpVariant v,
     fill_baseline_order_lse(f, seed);
     return f;
   }
-  for (int d1 = 0; d1 < m; ++d1) {
-    if (v == DmpVariant::kCoarse) {
-#pragma omp parallel for schedule(dynamic)
-      for (int i1 = 0; i1 < m - d1; ++i1) {
-        fill_triangle_lse(f, seed, i1, i1 + d1, v, tile);
-      }
-    } else {
-      for (int i1 = 0; i1 + d1 < m; ++i1) {
-        fill_triangle_lse(f, seed, i1, i1 + d1, v, tile);
-      }
-    }
-  }
+  fill_by_diagonals(f, seed, v, tile,
+                    DmpKernels<double>{simd::lse_r0_rows, simd::lse_r0_tiled,
+                                       nullptr, "dmp_band.lse"});
   return f;
 }
 

@@ -172,17 +172,6 @@ void reset_backend() noexcept {
   g_backend.store(kUnresolved, std::memory_order_relaxed);
 }
 
-int row_block() noexcept {
-  switch (active_backend()) {
-    case Backend::kAvx2:
-    case Backend::kAvx512:
-      return 4;  // register-tile height of both vector backends
-    case Backend::kScalar:
-      break;
-  }
-  return 1;
-}
-
 Backend active_backend(semiring::Algebra algebra) noexcept {
   // The log-sum-exp kernels are scalar-only today; the tropical path
   // keeps its resolved choice. A vectorized log-domain backend would be

@@ -47,10 +47,17 @@ struct ScheduleSet {
   /// k2 is the innermost loop iteration").
   bool vectorizable = true;
   std::map<std::string, StmtSchedule> by_stmt;
+  /// Per statement, the schedule levels whose loops run their iterations
+  /// concurrently (an `omp for`). Only the executed sets name them; the
+  /// paper's tables are checked for ordering alone.
+  std::map<std::string, std::vector<int>> parallel_levels;
 };
 
-/// Full-BPMax schedule sets: the original program order plus the paper's
-/// Table II (fine), Table III (coarse) and Table IV (hybrid).
+/// Full-BPMax schedule sets: the original program order, the paper's
+/// Table II (fine), Table III (coarse) and Table IV (hybrid) as reference
+/// rows, and the orders the threaded fills execute — "fine_executed" (the
+/// fine preset) and "hybrid_executed" (the hybrid and hybrid_tiled
+/// presets), with their parallel levels.
 std::vector<ScheduleSet> bpmax_schedule_catalog();
 
 /// Double max-plus schedule sets (Table I family): the original order,
@@ -63,11 +70,15 @@ struct CatalogVerdict {
   std::string schedule_set;
   std::string dependence;
   bool legal = false;
+  /// The level at which the dependence is violated, or carried by a
+  /// parallel level of its source or target; -1 when legal.
   int violation_level = -1;
 };
 
-/// Check every dependence of `deps` under `set`. Dependences touching a
-/// statement the set lacks are skipped.
+/// Check every dependence of `deps` under `set`: it must be ordered
+/// lexicographically and not carried at any parallel level of its source
+/// or target statement. Dependences touching a statement the set lacks
+/// are skipped.
 std::vector<CatalogVerdict> verify_schedule_set(
     const ScheduleSet& set, const std::vector<Dependence>& deps);
 

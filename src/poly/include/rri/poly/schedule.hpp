@@ -65,6 +65,14 @@ ConstraintSystem violation_system(const Dependence& dep,
                                   const StmtSchedule& tgt_schedule,
                                   int level);
 
+/// True when the dependence may be carried at `level`: some instance pair
+/// agrees on every earlier component and the target's component at
+/// `level` is larger. A loop at that level must then run its iterations in
+/// order; when false, they may run concurrently. Decided over the
+/// rationals, so a false answer is a proof.
+bool carried_at(const Dependence& dep, const StmtSchedule& src_schedule,
+                const StmtSchedule& tgt_schedule, int level);
+
 }  // namespace rri::poly
 
 #endif  // RRI_POLY_SCHEDULE_HPP

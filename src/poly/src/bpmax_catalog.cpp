@@ -352,6 +352,74 @@ std::vector<ScheduleSet> bpmax_schedule_catalog() {
     catalog.push_back(std::move(set));
   }
 
+  // --- The orders the threaded fills execute (src/core/src/
+  // bpmax_scheduled.cpp). A band work item is one (i1, i2-block) pair that
+  // sweeps every k1 privately: R0/R3/R4 at (d1, 0, i1, i2-block, k1, i2,
+  // k2, j2), R3/R4 at k2 = i2 - 1 because the kernels fold them before the
+  // row's k2 sweep; F/R1/R2 follow as component 1 (after the band
+  // barrier). The i2-block component is modeled at its finest grain, i2
+  // itself: it is certified parallel, so no dependence joins two rows of
+  // one band, and every coarser blocking only merges rows — the
+  // certificate covers any block height and either kernel's order inside
+  // an item. hybrid bands and finalizes a whole diagonal (i1 parallel);
+  // fine does one triangle at a time, finalizing it serially.
+  const auto executed = [](const std::string& name, bool diagonal_scope) {
+    ScheduleSet set;
+    set.name = name;
+    set.description =
+        diagonal_scope
+            ? "executed by hybrid and hybrid_tiled: (d1, i1, i2-block) band "
+              "items each sweep k1, one barrier, then coarse F/R1/R2"
+            : "executed by fine: per triangle, i2-block band items each "
+              "sweep k1, one barrier, then serial F/R1/R2";
+    // Leading components: (d1, stage, i1) for a diagonal-wide stage,
+    // (d1, i1, stage) for a per-triangle one.
+    const auto head = [diagonal_scope](const SchedBuilder& s, int stage) {
+      const AffineExpr d1 = s("j1") - s("i1");
+      return diagonal_scope
+                 ? std::vector<AffineExpr>{d1, s.c(stage), s("i1")}
+                 : std::vector<AffineExpr>{d1, s("i1"), s.c(stage)};
+    };
+    const auto with = [](std::vector<AffineExpr> t,
+                         std::vector<AffineExpr> tail) {
+      t.insert(t.end(), tail.begin(), tail.end());
+      return t;
+    };
+    const std::vector<int> band_par =
+        diagonal_scope ? std::vector<int>{2, 3} : std::vector<int>{3};
+    {
+      SchedBuilder s("F");
+      set.by_stmt["F"] = sched(
+          "F", with(head(s, 1), {-s("i2"), s("j2"), s.c(0), s.c(0), s.c(0)}));
+    }
+    for (const auto& stmt : {std::string("R1"), std::string("R2")}) {
+      SchedBuilder s(stmt);
+      set.by_stmt[stmt] = sched(
+          stmt, with(head(s, 1), {-s("i2"), s("k2"), s("j2"), s.c(0), s.c(0)}));
+    }
+    if (diagonal_scope) {
+      for (const auto& stmt : {"F", "R1", "R2"}) {
+        set.parallel_levels[stmt] = {2};
+      }
+    }
+    {
+      SchedBuilder s("R0");
+      set.by_stmt["R0"] = sched(
+          "R0", with(head(s, 0), {s("i2"), s("k1"), s("i2"), s("k2"), s("j2")}));
+      set.parallel_levels["R0"] = band_par;
+    }
+    for (const auto& stmt : {std::string("R3"), std::string("R4")}) {
+      SchedBuilder s(stmt);
+      set.by_stmt[stmt] = sched(
+          stmt, with(head(s, 0), {s("i2"), s("k1"), s("i2"), s("i2") - 1,
+                                  s("j2")}));
+      set.parallel_levels[stmt] = band_par;
+    }
+    return set;
+  };
+  catalog.push_back(executed("fine_executed", false));
+  catalog.push_back(executed("hybrid_executed", true));
+
   return catalog;
 }
 
@@ -430,7 +498,19 @@ std::vector<CatalogVerdict> verify_schedule_set(
     if (src == set.by_stmt.end() || tgt == set.by_stmt.end()) {
       continue;
     }
-    const LegalityResult r = check_dependence(dep, src->second, tgt->second);
+    LegalityResult r = check_dependence(dep, src->second, tgt->second);
+    for (const std::string& stmt : {dep.src_stmt, dep.tgt_stmt}) {
+      const auto par = set.parallel_levels.find(stmt);
+      if (!r.legal || par == set.parallel_levels.end()) {
+        continue;
+      }
+      for (const int level : par->second) {
+        if (carried_at(dep, src->second, tgt->second, level)) {
+          r = {false, level};
+          break;
+        }
+      }
+    }
     verdicts.push_back(
         CatalogVerdict{set.name, dep.name, r.legal, r.violation_level});
   }

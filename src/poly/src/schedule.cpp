@@ -64,4 +64,24 @@ LegalityResult check_dependence(const Dependence& dep,
   return {true, -1};
 }
 
+bool carried_at(const Dependence& dep, const StmtSchedule& src_schedule,
+                const StmtSchedule& tgt_schedule, int level) {
+  if (src_schedule.levels() != tgt_schedule.levels()) {
+    throw std::invalid_argument("schedules must have equal level counts");
+  }
+  if (level < 0 || level >= src_schedule.levels()) {
+    throw std::out_of_range("carried level out of range");
+  }
+  const auto src_t = composed_times(src_schedule, dep.src_coords);
+  const auto tgt_t = composed_times(tgt_schedule, dep.tgt_coords);
+  ConstraintSystem carried = dep.domain;
+  for (int r = 0; r < level; ++r) {
+    carried.add_eq(tgt_t[static_cast<std::size_t>(r)],
+                   src_t[static_cast<std::size_t>(r)]);
+  }
+  carried.add_lt(src_t[static_cast<std::size_t>(level)],
+                 tgt_t[static_cast<std::size_t>(level)]);
+  return !carried.empty_rational();
+}
+
 }  // namespace rri::poly

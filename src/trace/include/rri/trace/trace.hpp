@@ -132,6 +132,9 @@ struct TraceStats {
   std::size_t recorded = 0;  ///< events currently held across buffers
   std::size_t dropped = 0;   ///< overwritten by ring wrap (drop-oldest)
   std::size_t filtered = 0;  ///< discarded by the min-duration filter
+  /// Ring slots allocated across buffers; a thread's ring is allocated
+  /// by its first recorded event.
+  std::size_t reserved = 0;
 };
 TraceStats stats();
 

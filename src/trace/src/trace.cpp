@@ -68,12 +68,17 @@ struct OpenSpan {
 inline constexpr int kMaxDepth = 64;
 
 /// Single-writer event ring (the owning thread); readers only touch it
-/// at quiescence (write_chrome_json / stats / reset).
+/// at quiescence (write_chrome_json / stats / reset). The ring is
+/// allocated by the first recorded event, so a thread that only sets its
+/// lane (a serve worker with tracing off) reserves no event storage.
 struct ThreadBuffer {
   explicit ThreadBuffer(int tid, std::size_t cap)
-      : reg_tid(tid), ring(cap == 0 ? 1 : cap) {}
+      : reg_tid(tid), capacity(cap == 0 ? 1 : cap) {}
 
   void push(const Event& e) noexcept {
+    if (ring.empty()) {
+      ring.resize(capacity);
+    }
     if (count < ring.size()) {
       ring[(head + count) % ring.size()] = e;
       ++count;
@@ -85,6 +90,7 @@ struct ThreadBuffer {
   }
 
   int reg_tid;
+  std::size_t capacity;
   std::vector<Event> ring;
   std::size_t head = 0;
   std::size_t count = 0;
@@ -237,6 +243,7 @@ TraceStats stats() {
     out.recorded += buf->count;
     out.dropped += buf->dropped;
     out.filtered += buf->filtered;
+    out.reserved += buf->ring.size();
   }
   return out;
 }

@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <random>
+#include <string>
 
 #include "rri/core/bpmax.hpp"
 #include "rri/core/bpmax_kernels.hpp"
@@ -395,22 +396,42 @@ TEST(BpmaxApi, KnownInteraction) {
 
 TEST(BpmaxApi, OversubscribedThreadsStayCorrect) {
   // Parallel variants with more threads than cores (this may be a 1-core
-  // box): exercises the OpenMP paths under maximal interleaving.
-  std::mt19937_64 rng(31337);
-  const auto s1 = rna::random_sequence(10, rng);
-  const auto s2 = rna::random_sequence(14, rng);
+  // box): exercises the OpenMP paths under maximal interleaving. The band
+  // stage's work items are (triangle, row block) pairs, so the cases also
+  // cover a last block shorter than ti2 (n % ti2 != 0), fewer items than
+  // threads (M <= 3), the default tile, and one-row blocks (ti2 = 1).
+  struct Case {
+    int m, n, threads;
+    core::TileShape3 tile;
+  };
+  const Case cases[] = {
+      {10, 14, 4, {3, 2, 5}}, {10, 14, 1, {}},        {9, 37, 2, {}},
+      {7, 45, 3, {}},         {8, 33, 5, {}},         {6, 20, 3, {1, 2, 0}},
+      {1, 35, 3, {}},         {2, 19, 5, {}},         {3, 40, 2, {}},
+      {2, 9, 3, {1, 4, 0}},   {3, 13, 5, {1, 1, 1}},  {3, 11, 5, {4, 3, 0}},
+  };
   const auto model = rna::ScoringModel::bpmax_default();
-  const auto ref = core::bpmax_solve(s1, s2, model,
-                                     {Variant::kBaseline, {}, 0});
-  for (const Variant v : {Variant::kCoarse, Variant::kFine, Variant::kHybrid,
-                          Variant::kHybridTiled}) {
-    BpmaxOptions opt;
-    opt.variant = v;
-    opt.num_threads = 4;
-    opt.tile = {3, 2, 5};
-    const auto got = core::bpmax_solve(s1, s2, model, opt);
-    EXPECT_EQ(got.score, ref.score) << core::variant_name(v);
-    EXPECT_TRUE(tables_equal(got.f, ref.f)) << core::variant_name(v);
+  std::mt19937_64 rng(31337);
+  for (const Case& c : cases) {
+    const auto s1 = rna::random_sequence(static_cast<std::size_t>(c.m), rng);
+    const auto s2 = rna::random_sequence(static_cast<std::size_t>(c.n), rng);
+    const auto ref = core::bpmax_solve(s1, s2, model,
+                                       {Variant::kBaseline, {}, 0});
+    for (const Variant v : {Variant::kCoarse, Variant::kFine,
+                            Variant::kHybrid, Variant::kHybridTiled}) {
+      BpmaxOptions opt;
+      opt.variant = v;
+      opt.num_threads = c.threads;
+      opt.tile = c.tile;
+      const auto got = core::bpmax_solve(s1, s2, model, opt);
+      const std::string where = std::string(core::variant_name(v)) + " " +
+                                std::to_string(c.m) + "x" +
+                                std::to_string(c.n) + " threads=" +
+                                std::to_string(c.threads) +
+                                " ti2=" + std::to_string(c.tile.ti2);
+      EXPECT_EQ(got.score, ref.score) << where;
+      EXPECT_TRUE(tables_equal(got.f, ref.f)) << where;
+    }
   }
 }
 

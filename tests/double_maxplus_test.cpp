@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
 #include <cmath>
+#include <tuple>
 
 #include "rri/core/double_maxplus.hpp"
 
@@ -221,6 +224,29 @@ TEST(DmpLse, AllVariantsBitIdenticalToBaseline) {
           << dmp_variant_name(v) << " m=" << m << " n=" << n;
     }
   }
+}
+
+/// The threaded band stages at an odd thread count: kFine (one triangle's
+/// row blocks) and kTiled (every triangle of a diagonal), including fewer
+/// work items than threads and a last row block shorter than ti2.
+TEST(DmpThreads, FineAndTiledBitIdenticalAtThreeThreads) {
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(3);
+  const std::uint64_t seed = 4242;
+  for (const auto& [m, n, tile] :
+       {std::tuple{9, 45, TileShape3{}}, std::tuple{2, 37, TileShape3{}},
+        std::tuple{12, 9, TileShape3{1, 2, 0}},
+        std::tuple{5, 17, TileShape3{4, 3, 0}}}) {
+    const FTable ref = solve_double_maxplus(m, n, seed, DmpVariant::kBaseline);
+    const ZTable zref = solve_double_lse(m, n, seed, DmpVariant::kBaseline);
+    for (const DmpVariant v : {DmpVariant::kFine, DmpVariant::kTiled}) {
+      EXPECT_TRUE(tables_equal(solve_double_maxplus(m, n, seed, v, tile), ref))
+          << dmp_variant_name(v) << " m=" << m << " n=" << n;
+      EXPECT_TRUE(ztables_equal(solve_double_lse(m, n, seed, v, tile), zref))
+          << dmp_variant_name(v) << " lse m=" << m << " n=" << n;
+    }
+  }
+  omp_set_num_threads(saved);
 }
 
 /// Interior cells against the recursive reference — with a tolerance,

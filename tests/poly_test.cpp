@@ -397,6 +397,73 @@ TEST(Catalog, CorruptingAScheduleComponentIsDetected) {
   EXPECT_FALSE(all_legal(verdicts));
 }
 
+ScheduleSet catalog_set(const std::string& name) {
+  for (ScheduleSet& set : bpmax_schedule_catalog()) {
+    if (set.name == name) {
+      return set;
+    }
+  }
+  ADD_FAILURE() << "no schedule set " << name;
+  return {};
+}
+
+TEST(Catalog, ExecutedSchedulesNameTheirParallelLevels) {
+  // Certified with the rest of the catalog above; here: the band's
+  // (i1, i2-block) levels and the coarse finalization's i1 level are the
+  // ones the certificate covers.
+  const ScheduleSet fine = catalog_set("fine_executed");
+  EXPECT_EQ(fine.parallel_levels.at("R0"), (std::vector<int>{3}));
+  EXPECT_EQ(fine.parallel_levels.count("F"), 0u);
+  const ScheduleSet hybrid = catalog_set("hybrid_executed");
+  for (const char* stmt : {"R0", "R3", "R4"}) {
+    EXPECT_EQ(hybrid.parallel_levels.at(stmt), (std::vector<int>{2, 3}))
+        << stmt;
+  }
+  for (const char* stmt : {"F", "R1", "R2"}) {
+    EXPECT_EQ(hybrid.parallel_levels.at(stmt), (std::vector<int>{2}))
+        << stmt;
+  }
+}
+
+TEST(Catalog, ParallelLevelsKeepEachCellOnOneItem) {
+  // Reductions are modeled without their accumulator, so the dependences
+  // alone would let a split loop (k1, k2) run concurrently and race on
+  // one cell. A parallel component must be a function of the cell.
+  for (const ScheduleSet& set : bpmax_schedule_catalog()) {
+    for (const auto& [stmt, levels] : set.parallel_levels) {
+      const StmtSchedule& sched = set.by_stmt.at(stmt);
+      for (const int level : levels) {
+        for (const char* split : {"k1", "k2"}) {
+          const auto& names = sched.domain.names();
+          if (std::find(names.begin(), names.end(), split) != names.end()) {
+            EXPECT_EQ(sched.time[static_cast<std::size_t>(level)].coeff(
+                          sched.domain.index(split)),
+                      0)
+                << set.name << " " << stmt << " level " << level;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Catalog, ParallelFinalizeRowsAreRejected) {
+  // Finalization rows run bottom-up because row i2 reads the finalized
+  // row i2+1 (c2, R1): marking that level parallel must fail the check.
+  ScheduleSet set = catalog_set("hybrid_executed");
+  for (const char* stmt : {"F", "R1", "R2"}) {
+    set.parallel_levels[stmt] = {2, 3};
+  }
+  bool c2_flagged = false;
+  for (const auto& v : verify_schedule_set(set, bpmax_dependences())) {
+    if (!v.legal) {
+      EXPECT_EQ(v.violation_level, 3) << v.dependence;
+      c2_flagged |= v.dependence == "c2 reads F(i1,j1,i2+1,j2-1)";
+    }
+  }
+  EXPECT_TRUE(c2_flagged);
+}
+
 TEST(Catalog, VectorizabilityFlagsMatchPaper) {
   for (const auto& set : dmp_schedule_catalog()) {
     if (set.name == "original" || set.name == "permuted_k2_inner") {

@@ -125,7 +125,6 @@ TEST(SimdDispatch, SetAndResetBackend) {
   BackendGuard guard;
   ASSERT_TRUE(core::simd::set_backend(Backend::kScalar));
   EXPECT_EQ(core::simd::active_backend(), Backend::kScalar);
-  EXPECT_EQ(core::simd::row_block(), 1);
   for (const Backend vec : {Backend::kAvx2, Backend::kAvx512}) {
     ASSERT_TRUE(core::simd::set_backend(Backend::kScalar));
     const bool took = core::simd::set_backend(vec);
@@ -133,7 +132,6 @@ TEST(SimdDispatch, SetAndResetBackend) {
         << core::simd::backend_name(vec);
     if (took) {
       EXPECT_EQ(core::simd::active_backend(), vec);
-      EXPECT_EQ(core::simd::row_block(), 4);  // both vector tiles are 4 rows
     } else {
       // A refused set_backend must not change the active backend.
       EXPECT_EQ(core::simd::active_backend(), Backend::kScalar);
@@ -142,10 +140,6 @@ TEST(SimdDispatch, SetAndResetBackend) {
   core::simd::reset_backend();
   // Re-resolves without crashing; the result depends on RRI_SIMD/CPUID.
   (void)core::simd::active_backend();
-}
-
-TEST(SimdDispatch, RowBlockPositive) {
-  EXPECT_GE(core::simd::row_block(), 1);
 }
 
 /// Save/restore RRI_SIMD around the env-parsing tests and drop the
@@ -402,8 +396,8 @@ TEST(SimdKernelFuzz, RandomRowRangeTriples) {
   }
 }
 
-/// Tile-range fuzz: single tile indices (the per-thread call pattern of
-/// fill_hybrid_tiled) instead of whole-range sweeps.
+/// Tile-range fuzz: single tile indices (the per-item call pattern of the
+/// hybrid_tiled band stage) instead of whole-range sweeps.
 TEST(SimdKernelFuzz, SingleTileCalls) {
   if (vector_backends().empty()) {
     GTEST_SKIP() << "no vector backend available on this host/build";

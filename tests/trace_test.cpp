@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "rri/core/bpmax.hpp"
 #include "rri/obs/json.hpp"
@@ -266,6 +267,32 @@ TEST_F(TraceTest, DisabledRecorderStoresNothing) {
     trace::instant("also.invisible");
   }
   EXPECT_EQ(trace::stats().recorded, 0u);
+}
+
+TEST(TraceRing, LaneOnlyThreadsReserveNoRing) {
+  // Serve workers enter a lane for their whole loop even with tracing
+  // off; that must not allocate (and, as the registry keeps every
+  // thread's buffer, leak) an event ring per worker thread.
+  trace::set_enabled(false);
+  const std::size_t before = trace::stats().reserved;
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([w] {
+      RRI_TRACE_LANE(trace::kProcServe, w);
+      RRI_TRACE_SPAN("never.recorded");
+    });
+  }
+  for (std::thread& t : workers) {
+    t.join();
+  }
+  EXPECT_EQ(trace::stats().reserved, before);
+
+  // The first recorded event allocates that thread's ring, at full size.
+  trace::set_enabled(true);
+  std::thread([] { trace::instant("first.event"); }).join();
+  trace::set_enabled(false);
+  EXPECT_EQ(trace::stats().reserved, before + trace::default_capacity());
+  trace::reset();
 }
 
 TEST(TraceHw, DegradesGracefully) {
