@@ -85,6 +85,11 @@ struct CodegenCase {
   std::map<std::string, std::int64_t> params;
 };
 
+// Without this, gtest names each case by a byte dump of the struct, whose
+// leading pointer bytes change with every load address (ASLR), so the
+// discovered ctest names would differ from one build to the next.
+void PrintTo(const CodegenCase& tc, std::ostream* os) { *os << tc.name; }
+
 class CodegenRoundTrip : public ::testing::TestWithParam<CodegenCase> {};
 
 TEST_P(CodegenRoundTrip, GeneratedCodeMatchesEvaluator) {
