@@ -13,6 +13,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +26,7 @@
 #include "rri/core/bpmax.hpp"
 #include "rri/core/bpmax_kernels.hpp"
 #include "rri/core/double_maxplus.hpp"
+#include "rri/core/simd/maxplus_simd.hpp"
 #include "rri/harness/flops.hpp"
 #include "rri/harness/report.hpp"
 #include "rri/harness/scaling.hpp"
@@ -172,6 +174,91 @@ inline double dmp_gflops(int m, int n, core::DmpVariant variant,
     *seconds_out = best;
   }
   return harness::double_maxplus_flops(m, n) / best / 1e9;
+}
+
+/// A variant sweep run once per supported SIMD backend. measure(n, v)
+/// returns GFLOPS of variant v at inner length n on the backend set
+/// before the call. Rows are measured backend by backend, rotating which
+/// backend goes first, so no backend always pays for a cold start.
+/// Prints one table per backend, then a table of each row's best
+/// dispatched variant per backend and the host-independent invariant
+///   simd_auto_over_scalar_max: X (auto -> <backend>)
+/// X = max over rows of (best-variant time on the backend `auto`
+/// resolves to) / (best-variant time on scalar); 1.000 when auto is
+/// scalar. The baseline order bypasses the dispatched kernels, so it is
+/// measured but left out of the best.
+template <typename Variant, typename Measure>
+void backend_sweep(const std::string& series, int m,
+                   const std::vector<int>& lengths,
+                   const std::vector<Variant>& variants, Variant baseline,
+                   const char* (*variant_name)(Variant) noexcept,
+                   Measure&& measure) {
+  const core::simd::Backend resolved = core::simd::active_backend();
+  const std::vector<core::simd::Backend> backends =
+      core::simd::supported_backends();
+  std::vector<std::string> header = {"M x N"};
+  for (const Variant v : variants) {
+    header.emplace_back(variant_name(v));
+  }
+  std::vector<harness::ReportTable> tables(backends.size(),
+                                           harness::ReportTable(header));
+  // best[row][backend] = best dispatched-variant GFLOPS.
+  std::vector<std::vector<double>> best(
+      lengths.size(), std::vector<double>(backends.size(), 0.0));
+  for (std::size_t r = 0; r < lengths.size(); ++r) {
+    const std::string label =
+        std::to_string(m) + "x" + std::to_string(lengths[r]);
+    for (std::size_t k = 0; k < backends.size(); ++k) {
+      const std::size_t bi = (r + k) % backends.size();
+      core::simd::set_backend(backends[bi]);
+      std::vector<std::string> row = {label};
+      for (const Variant v : variants) {
+        const double gflops = measure(lengths[r], v);
+        if (v != baseline) {
+          best[r][bi] = std::max(best[r][bi], gflops);
+        }
+        row.push_back(harness::fmt_double(gflops, 3));
+      }
+      tables[bi].add_row(std::move(row));
+    }
+  }
+  core::simd::reset_backend();
+
+  std::vector<std::string> best_header = {"M x N"};
+  std::size_t scalar_i = 0;
+  std::size_t auto_i = 0;
+  for (std::size_t bi = 0; bi < backends.size(); ++bi) {
+    const std::string bname = core::simd::backend_name(backends[bi]);
+    std::printf("--- backend: %s%s ---\n", bname.c_str(),
+                backends[bi] == resolved ? " (auto)" : "");
+    print_table(series + "_" + bname, tables[bi]);
+    std::printf("\n");
+    best_header.push_back(bname + "_best");
+    if (backends[bi] == core::simd::Backend::kScalar) {
+      scalar_i = bi;
+    }
+    if (backends[bi] == resolved) {
+      auto_i = bi;
+    }
+  }
+  best_header.push_back("auto_over_scalar");
+  harness::ReportTable best_table(best_header);
+  double worst = 0.0;
+  for (std::size_t r = 0; r < lengths.size(); ++r) {
+    std::vector<std::string> row = {std::to_string(m) + "x" +
+                                    std::to_string(lengths[r])};
+    for (const double g : best[r]) {
+      row.push_back(harness::fmt_double(g, 3));
+    }
+    const double ratio =
+        best[r][auto_i] > 0.0 ? best[r][scalar_i] / best[r][auto_i] : 0.0;
+    worst = std::max(worst, ratio);
+    row.push_back(harness::fmt_double(ratio, 3));
+    best_table.add_row(std::move(row));
+  }
+  print_table(series + "_simd", best_table);
+  std::printf("simd_auto_over_scalar_max: %.3f (auto -> %s)\n", worst,
+              core::simd::backend_name(resolved));
 }
 
 inline rna::Sequence bench_sequence(std::size_t len, std::uint64_t seed) {

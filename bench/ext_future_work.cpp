@@ -1,46 +1,23 @@
-/// Extension bench (paper §VI future work): the two optimizations the
-/// conclusion calls for, implemented and measured.
-///  1. Register-level tiling of the double max-plus ("an additional
-///     level of tiling at the register level is required to make the
-///     program compute-bound"): DmpVariant::kRegTiled holds 4x32
-///     accumulator blocks in registers across the k2 reduction.
-///  2. Tiling R1/R2 ("we also plan to apply tiling on R1 and R2"):
-///     BpmaxOptions::r12_jblock blocks the finalization sweep along j2.
+/// Extension bench (paper §VI future work): tiling R1/R2 ("we also plan
+/// to apply tiling on R1 and R2") — BpmaxOptions::r12_jblock blocks the
+/// finalization sweep along j2. The other item, register-level tiling of
+/// the double max-plus, was implemented, measured slower than the 32x4xN
+/// tiled schedule at every probed shape, and retired (EXPERIMENTS.md,
+/// "Ablations").
 
 #include "bench_common.hpp"
 
 int main() {
   using namespace rri;
   bench::print_banner("Extension - the paper's future-work optimizations",
-                      "register-tiled R0 and blocked R1/R2, measured");
+                      "blocked R1/R2, measured");
 
-  // Part 1: register tiling of the standalone kernel.
-  const int m = harness::scaled_lengths({16})[0];
-  const auto lengths = harness::scaled_lengths({96, 192, 256});
-  std::printf("register tiling of the double max-plus (GFLOPS):\n");
-  harness::ReportTable dmp_table(
-      {"M x N", "permuted", "tiled 32x4xN", "reg_tiled 4rx32c"});
-  for (const int n : lengths) {
-    dmp_table.add_row(
-        {std::to_string(m) + "x" + std::to_string(n),
-         harness::fmt_double(
-             bench::dmp_gflops(m, n, core::DmpVariant::kPermuted), 3),
-         harness::fmt_double(
-             bench::dmp_gflops(m, n, core::DmpVariant::kTiled,
-                               core::TileShape3{32, 4, 0}),
-             3),
-         harness::fmt_double(
-             bench::dmp_gflops(m, n, core::DmpVariant::kRegTiled), 3)});
-  }
-  bench::print_table("ext_future_work_dmp", dmp_table);
-
-  // Part 2: R1/R2 finalization blocking on the full program.
   const int bm = harness::scaled_lengths({8})[0];
   const int bn = harness::scaled_lengths({192})[0];
   const auto s1 = bench::bench_sequence(static_cast<std::size_t>(bm), 1);
   const auto s2 = bench::bench_sequence(static_cast<std::size_t>(bn), 2);
   const auto model = rna::ScoringModel::bpmax_default();
-  std::printf("\nR1/R2 j2-blocking on full BPMax %dx%d (R1/R2-heavy "
+  std::printf("R1/R2 j2-blocking on full BPMax %dx%d (R1/R2-heavy "
               "shape; GFLOPS):\n",
               bm, bn);
   harness::ReportTable r12_table({"r12 block", "GFLOPS"});
@@ -55,10 +32,9 @@ int main() {
   }
   bench::print_table("ext_future_work_r12", r12_table);
   std::printf(
-      "\nBoth transformations preserve results bit-for-bit (tested); their\n"
-      "payoff is footprint-dependent — register tiling needs rows long\n"
-      "enough to amortize block setup, and R1/R2 blocking needs rows that\n"
-      "overflow a cache level, the regime the paper hits at N ~ 2048\n"
-      "(16 MB per triangle row set).\n");
+      "\nBlocking preserves results bit-for-bit (tested); its payoff is\n"
+      "footprint-dependent — it needs rows that overflow a cache level,\n"
+      "the regime the paper hits at N ~ 2048 (16 MB per triangle row\n"
+      "set).\n");
   return 0;
 }

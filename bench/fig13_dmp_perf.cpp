@@ -5,15 +5,12 @@
 /// reaches 117 GFLOPS (~97% of the micro-benchmark target).
 ///
 /// The sweep runs once per available rri::core::simd backend (forced via
-/// set_backend) and reports the vector backend's speedup over scalar so
-/// CI's perf-smoke can eyeball the dispatch layer end to end.
+/// set_backend) and ends with the host-independent dispatch invariant:
+/// simd_auto_over_scalar_max, the worst row's best-variant time on the
+/// backend `auto` resolves to over its time on `scalar` (CI warns above
+/// 1.03).
 
 #include "bench_common.hpp"
-
-#include <algorithm>
-#include <map>
-
-#include "rri/core/simd/maxplus_simd.hpp"
 
 int main() {
   using namespace rri;
@@ -26,91 +23,14 @@ int main() {
   const int m = harness::scaled_lengths({16})[0];
   const auto lengths = harness::scaled_lengths({64, 128, 192, 256});
 
-  // Scalar first, then every supported vector backend — new ISAs join the
-  // sweep automatically when dispatch learns about them.
-  const std::vector<core::simd::Backend> backends =
-      core::simd::supported_backends();
-
-  // best[backend][n] = best GFLOPS across variants (the number a user of
-  // the dispatched kernels actually sees).
-  std::map<int, std::map<int, double>> best;
-  for (const core::simd::Backend backend : backends) {
-    core::simd::set_backend(backend);
-    const std::string bname = core::simd::backend_name(backend);
-    std::printf("--- backend: %s ---\n", bname.c_str());
-    harness::ReportTable table({"M x N", "baseline", "permuted", "coarse",
-                                "fine", "tiled", "reg_tiled"});
-    for (const int n : lengths) {
-      std::vector<std::string> row = {std::to_string(m) + "x" +
-                                      std::to_string(n)};
-      for (const core::DmpVariant v : core::all_dmp_variants()) {
-        const double gflops =
-            bench::dmp_gflops(m, n, v, core::TileShape3{32, 4, 0});
-        // The baseline order bypasses the dispatched kernels; exclude it
-        // from the backend-vs-backend comparison.
-        if (v != core::DmpVariant::kBaseline) {
-          double& slot = best[static_cast<int>(backend)][n];
-          slot = std::max(slot, gflops);
-        }
-        row.push_back(harness::fmt_double(gflops, 3));
-      }
-      table.add_row(std::move(row));
-    }
-    bench::print_table("fig13_dmp_perf_" + bname, table);
-    std::printf("\n");
-  }
-  core::simd::reset_backend();
-
-  if (backends.size() > 1) {
-    // Per-vector-backend speedup over scalar, sharing one table. Two
-    // greppable line families for CI:
-    //   simd_speedup_min[<backend>]: X   per vector backend
-    //   simd_speedup_min: X              min across all vector backends
-    // (the unsuffixed line keeps the historical perf-smoke regex alive).
-    std::vector<std::string> header = {"M x N", "scalar_best"};
-    for (std::size_t bi = 1; bi < backends.size(); ++bi) {
-      const std::string bname = core::simd::backend_name(backends[bi]);
-      header.push_back(bname + "_best");
-      header.push_back(bname + "_speedup");
-    }
-    harness::ReportTable speedup(header);
-    std::map<int, double> worst;  // backend -> min ratio over the sweep
-    for (const int n : lengths) {
-      const double s = best[static_cast<int>(core::simd::Backend::kScalar)][n];
-      std::vector<std::string> row = {
-          std::to_string(m) + "x" + std::to_string(n),
-          harness::fmt_double(s, 3)};
-      for (std::size_t bi = 1; bi < backends.size(); ++bi) {
-        const int key = static_cast<int>(backends[bi]);
-        const double v = best[key][n];
-        const double ratio = s > 0.0 ? v / s : 0.0;
-        const auto it = worst.find(key);
-        if (it == worst.end() || ratio < it->second) {
-          worst[key] = ratio;
-        }
-        row.push_back(harness::fmt_double(v, 3));
-        row.push_back(harness::fmt_double(ratio, 2) + "x");
-      }
-      speedup.add_row(std::move(row));
-    }
-    bench::print_table("fig13_simd_speedup", speedup);
-    double overall = 0.0;
-    bool first = true;
-    for (std::size_t bi = 1; bi < backends.size(); ++bi) {
-      const double w = worst[static_cast<int>(backends[bi])];
-      std::printf("simd_speedup_min[%s]: %.2f\n",
-                  core::simd::backend_name(backends[bi]), w);
-      if (first || w < overall) {
-        overall = w;
-        first = false;
-      }
-    }
-    // Minimum best-variant speedup across sweep and vector backends
-    // (expected >= 1.5 on AVX2/AVX-512 hosts).
-    std::printf("simd_speedup_min: %.2f\n", overall);
-  } else {
-    std::printf("simd_speedup_min: n/a (scalar backend only)\n");
-  }
+  // One sweep per supported backend; new ISAs join it automatically
+  // when dispatch learns about them.
+  bench::backend_sweep(
+      "fig13_dmp_perf", m, lengths, core::all_dmp_variants(),
+      core::DmpVariant::kBaseline, core::dmp_variant_name,
+      [&](int n, core::DmpVariant v) {
+        return bench::dmp_gflops(m, n, v, core::TileShape3{32, 4, 0});
+      });
 
   std::printf(
       "\npaper (6 threads, lengths to 2500): tiled best at 117 GFLOPS;\n"

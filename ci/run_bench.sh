@@ -70,11 +70,12 @@ done
 echo "run_bench: fig13 double max-plus sweep..."
 RRI_BENCH_JSON="${WORK}" "${FIG13}" > "${WORK}/fig13.out"
 FIG13_JSON="$(ls "${WORK}"/BENCH_*.json)"
-# Per-backend speedup lines (simd_speedup_min[avx2]: 1.83 ...) become a
-# {"backend":..., "speedup_min":...} table in the bundle; empty on
-# scalar-only hosts.
+# The dispatch invariant line (simd_auto_over_scalar_max: 1.012 (auto ->
+# avx512)) becomes a {"backend":..., "auto_over_scalar_max":...} row in
+# the bundle: the backend auto resolved to and its worst row's
+# best-variant time over scalar's.
 SIMD_ROWS="$(sed -nE \
-  's/^simd_speedup_min\[([a-z0-9]+)\]: ([0-9.]+)$/{"backend":"\1","speedup_min":\2}/p' \
+  's/^simd_auto_over_scalar_max: ([0-9.]+) \(auto -> ([a-z0-9]+)\)$/{"backend":"\2","auto_over_scalar_max":\1}/p' \
   "${WORK}/fig13.out" | paste -sd, -)"
 
 # 2. batch-serve: a duplicate-heavy manifest exercises scheduling, the

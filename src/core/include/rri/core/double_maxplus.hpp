@@ -29,12 +29,6 @@ enum class DmpVariant {
   kCoarse,     ///< threads own triangles of a diagonal
   kFine,       ///< threads own rows of each max-plus instance
   kTiled,      ///< fine + TileShape3 tiling of (i2, k2, j2)
-  /// The paper's future-work register tiling ("an additional level of
-  /// tiling at the register level is required to make the program
-  /// compute-bound"): 4-row x 32-column accumulator blocks held in
-  /// registers across the k2 reduction, cutting loads per max-plus from
-  /// three to roughly one.
-  kRegTiled,
 };
 
 const char* dmp_variant_name(DmpVariant v) noexcept;
@@ -58,8 +52,7 @@ float dmp_reference_cell(int m, int n, std::uint64_t seed, int i1, int j1,
 /// kernel dispatch in isolation. Inputs are dmp_input_value widened to
 /// double. Every variant applies each cell's reduction in the same
 /// (k1, k2)-lexicographic order, so all variants (including kBaseline)
-/// produce bit-identical tables; kRegTiled has no log-domain
-/// register-blocked kernel yet and runs the row-streamed schedule.
+/// produce bit-identical tables.
 ZTable solve_double_lse(int m, int n, std::uint64_t seed, DmpVariant v,
                         TileShape3 tile = {});
 

@@ -5,31 +5,27 @@
 /// Runtime-dispatched inner kernels for the double max-plus reduction —
 /// the Θ(M³N³) hot path every BPMax variant spends its time in.
 ///
-/// Three backends implement the same kernel contract:
+/// Three backends implement the same kernel contract, and they are one
+/// kernel body: the portable j2-innermost loop nests of
+/// src/simd/kernels_generic.hpp (plain C++ with `#pragma omp simd`
+/// hints, no intrinsics), compiled once per ISA in its own TU:
 ///
-///  * `kScalar` — the portable reference loop nests (plain C++ with
-///    `#pragma omp simd` hints; what the repo shipped before this layer).
-///  * `kAvx2`   — register-tiled AVX2 intrinsics: 4-row × 16-column
-///    accumulator blocks held in ymm registers across the whole k2
-///    reduction (unroll-and-jam over the i2/j2 triangle), vectorized max
-///    along the contiguous j2 dimension, masked tails for the triangle
-///    edges. Compiled only when the toolchain supports `-mavx2`
-///    (RRI_SIMD_HAVE_AVX2) and selected only when CPUID reports AVX2.
-///  * `kAvx512` — the same schedule widened to 512-bit registers: 4-row
-///    × 32-column accumulator blocks (8 zmm), with the AVX2 backend's
-///    arithmetic lane masks replaced by native `__mmask16` masked
-///    loads/stores on every triangle edge. Compiled only when the
-///    toolchain supports `-mavx512f` (RRI_SIMD_HAVE_AVX512) and selected
-///    only when CPUID reports avx512f+avx512bw.
+///  * `kScalar` — the base flags; always built.
+///  * `kAvx2`   — `-mavx2 -mfma`; compiled only when the toolchain takes
+///    those flags on x86 (RRI_SIMD_HAVE_AVX2) and selected only when
+///    CPUID reports avx2+fma.
+///  * `kAvx512` — `-mavx512f -mavx512bw`; compiled only when the
+///    toolchain takes those flags on x86 (RRI_SIMD_HAVE_AVX512) and
+///    selected only when CPUID reports avx512f+avx512bw.
 ///
 /// Backend selection happens once, lazily: the `RRI_SIMD` environment
 /// variable (`scalar`, `avx2`, `avx512`, or `auto`, the default)
 /// overrides the CPUID-based choice; tests force a backend
 /// programmatically with `set_backend`. Every backend produces
-/// bit-identical tables — the max-plus reduction is order-insensitive
-/// and each candidate is one fp32 add — which the property harness
-/// (tests/property_test.cpp) checks across the full variant × backend
-/// matrix, including every supported backend pair.
+/// bit-identical tables — each candidate is one fp32 add and one max,
+/// applied per cell in the same order on every ISA — which the property
+/// harness (tests/property_test.cpp) checks across the full variant ×
+/// backend matrix, including every supported backend pair.
 ///
 /// The chosen backend is recorded in perf reports as the
 /// `core.simd_backend` counter (0 = scalar, 1 = avx2, 2 = avx512); see
@@ -123,7 +119,8 @@ void r0_tiled(float* acc, const float* a, const float* b, int n,
               TileShape3 tile, int tile_begin, int tile_end) noexcept;
 
 /// Pure-R0 instance with the register-blocked schedule over all rows
-/// (the paper's future-work second tiling level).
+/// (the paper's future-work second tiling level). No fill variant uses
+/// it; r0_tiled is faster at every shape measured.
 void r0_regblocked(float* acc, const float* a, const float* b,
                    int n) noexcept;
 

@@ -18,7 +18,6 @@ const char* dmp_variant_name(DmpVariant v) noexcept {
     case DmpVariant::kCoarse: return "coarse";
     case DmpVariant::kFine: return "fine";
     case DmpVariant::kTiled: return "tiled";
-    case DmpVariant::kRegTiled: return "reg_tiled";
   }
   return "unknown";
 }
@@ -26,7 +25,7 @@ const char* dmp_variant_name(DmpVariant v) noexcept {
 const std::vector<DmpVariant>& all_dmp_variants() {
   static const std::vector<DmpVariant> variants = {
       DmpVariant::kBaseline, DmpVariant::kPermuted, DmpVariant::kCoarse,
-      DmpVariant::kFine,     DmpVariant::kTiled,    DmpVariant::kRegTiled,
+      DmpVariant::kFine,     DmpVariant::kTiled,
   };
   return variants;
 }
@@ -63,9 +62,6 @@ template <typename T>
 struct DmpKernels {
   void (*rows)(T*, const T*, const T*, int, int, int) noexcept;
   void (*tiled)(T*, const T*, const T*, int, TileShape3, int, int) noexcept;
-  /// kRegTiled's whole-instance kernel; null when the algebra has none
-  /// and kRegTiled runs the row-streamed schedule.
-  void (*regblocked)(T*, const T*, const T*, int) noexcept;
   const char* span;  ///< trace span name of one band work item
 };
 
@@ -84,13 +80,8 @@ void fill_by_diagonals(BasicFTable<T>& f, std::uint64_t seed, DmpVariant v,
   const auto serial = [&](int i1, int j1) {
     RRI_OBS_PHASE(obs::Phase::kDmpBand);
     for (int k1 = i1; k1 < j1; ++k1) {
-      if (v == DmpVariant::kRegTiled && kernels.regblocked != nullptr) {
-        kernels.regblocked(f.block(i1, j1), f.block(i1, k1),
-                           f.block(k1 + 1, j1), n);
-      } else {
-        kernels.rows(f.block(i1, j1), f.block(i1, k1), f.block(k1 + 1, j1),
-                     n, 0, n);
-      }
+      kernels.rows(f.block(i1, j1), f.block(i1, k1), f.block(k1 + 1, j1), n,
+                   0, n);
     }
     write_inputs(f, seed, i1, j1);
   };
@@ -203,7 +194,7 @@ FTable solve_double_maxplus(int m, int n, std::uint64_t seed, DmpVariant v,
   }
   fill_by_diagonals(f, seed, v, tile,
                     DmpKernels<float>{simd::r0_rows, simd::r0_tiled,
-                                      simd::r0_regblocked, "dmp_band.omp"});
+                                      "dmp_band.omp"});
   return f;
 }
 
@@ -283,7 +274,7 @@ ZTable solve_double_lse(int m, int n, std::uint64_t seed, DmpVariant v,
   }
   fill_by_diagonals(f, seed, v, tile,
                     DmpKernels<double>{simd::lse_r0_rows, simd::lse_r0_tiled,
-                                       nullptr, "dmp_band.lse"});
+                                       "dmp_band.lse"});
   return f;
 }
 

@@ -4,14 +4,16 @@
 /// RRI_SIMD environment variable (scalar | avx2 | avx512 | auto) > the
 /// best backend both compiled in and reported by CPUID. The choice is
 /// cached in one atomic; every dispatched kernel call is a relaxed load
-/// plus an indirect-free switch.
+/// plus an indirect call through the chosen row's KernelSet.
 
 #include "rri/core/simd/maxplus_simd.hpp"
 
 #include <atomic>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 #include "rri/obs/obs.hpp"
 #include "simd/kernels.hpp"
@@ -25,25 +27,11 @@ constexpr int kUnresolved = -1;
 /// Backend as int, or kUnresolved before first use.
 std::atomic<int> g_backend{kUnresolved};
 
-/// The one backend table: enum value + RRI_SIMD spelling, ascending
-/// preference order (scalar first, best last). backend_name,
-/// backend_available, supported_backends, best_available, and the
-/// RRI_SIMD parser (including its error messages) are all derived from
-/// this table, so adding a backend here is the only registration step.
-struct BackendEntry {
-  Backend backend;
-  const char* name;
-};
-
-constexpr BackendEntry kBackendTable[] = {
-    {Backend::kScalar, "scalar"},
-    {Backend::kAvx2, "avx2"},
-    {Backend::kAvx512, "avx512"},
-};
-
 bool cpu_has_avx2() noexcept {
 #if RRI_SIMD_HAVE_AVX2 && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2") != 0;
+  // The row is compiled with -mavx2 -mfma, so the CPU must have both.
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("fma") != 0;
 #else
   return false;
 #endif
@@ -51,9 +39,9 @@ bool cpu_has_avx2() noexcept {
 
 bool cpu_has_avx512() noexcept {
 #if RRI_SIMD_HAVE_AVX512 && (defined(__x86_64__) || defined(__i386__))
-  // Foundation is all the float kernels need; BW rides along to keep
-  // the first-gen Phi parts (F+CD only, different mask latencies) off
-  // this path — every server core since Skylake-SP reports both.
+  // The row is compiled with -mavx512f -mavx512bw; BW also keeps the
+  // first-gen Phi parts (F+CD only) off this path — every server core
+  // since Skylake-SP reports both.
   return __builtin_cpu_supports("avx512f") != 0 &&
          __builtin_cpu_supports("avx512bw") != 0;
 #else
@@ -61,12 +49,58 @@ bool cpu_has_avx512() noexcept {
 #endif
 }
 
-Backend best_available() noexcept {
-  if (backend_available(Backend::kAvx512)) {
-    return Backend::kAvx512;
+bool cpu_always() noexcept { return true; }
+
+/// The one backend table, indexed by Backend value, in ascending
+/// preference order (scalar first, best last). Each row carries its
+/// RRI_SIMD spelling, its kernel set (null when the build did not compile
+/// that ISA's TU) and its CPUID gate. backend_name, backend_available,
+/// supported_backends, best_available, the RRI_SIMD parser (including
+/// its error messages) and every kernel call are derived from this
+/// table, so adding an ISA is one wrapper TU plus one row here.
+struct BackendEntry {
+  Backend backend;
+  const char* name;
+  const KernelSet* kernels;
+  bool (*cpu_supports)() noexcept;
+};
+
+constexpr BackendEntry kBackendTable[] = {
+    {Backend::kScalar, "scalar", &kScalarKernels, cpu_always},
+#if RRI_SIMD_HAVE_AVX2
+    {Backend::kAvx2, "avx2", &kAvx2Kernels, cpu_has_avx2},
+#else
+    {Backend::kAvx2, "avx2", nullptr, cpu_has_avx2},
+#endif
+#if RRI_SIMD_HAVE_AVX512
+    {Backend::kAvx512, "avx512", &kAvx512Kernels, cpu_has_avx512},
+#else
+    {Backend::kAvx512, "avx512", nullptr, cpu_has_avx512},
+#endif
+};
+
+constexpr bool table_indexed_by_backend() {
+  int i = 0;
+  for (const BackendEntry& e : kBackendTable) {
+    if (static_cast<int>(e.backend) != i++) {
+      return false;
+    }
   }
-  if (backend_available(Backend::kAvx2)) {
-    return Backend::kAvx2;
+  return true;
+}
+static_assert(table_indexed_by_backend());
+
+const BackendEntry* find_entry(Backend b) noexcept {
+  const auto i = static_cast<std::size_t>(b);
+  return i < std::size(kBackendTable) ? &kBackendTable[i] : nullptr;
+}
+
+Backend best_available() noexcept {
+  for (auto it = std::rbegin(kBackendTable); it != std::rend(kBackendTable);
+       ++it) {
+    if (backend_available(it->backend)) {
+      return it->backend;
+    }
   }
   return Backend::kScalar;
 }
@@ -104,21 +138,13 @@ Backend resolve_from_env() noexcept {
 }  // namespace
 
 const char* backend_name(Backend b) noexcept {
-  for (const BackendEntry& e : kBackendTable) {
-    if (e.backend == b) {
-      return e.name;
-    }
-  }
-  return "unknown";
+  const BackendEntry* e = find_entry(b);
+  return e != nullptr ? e->name : "unknown";
 }
 
 bool backend_available(Backend b) noexcept {
-  switch (b) {
-    case Backend::kScalar: return true;
-    case Backend::kAvx2: return cpu_has_avx2();
-    case Backend::kAvx512: return cpu_has_avx512();
-  }
-  return false;
+  const BackendEntry* e = find_entry(b);
+  return e != nullptr && e->kernels != nullptr && e->cpu_supports();
 }
 
 std::vector<Backend> supported_backends() {
@@ -195,103 +221,42 @@ void record_backend_counter(semiring::Algebra algebra) {
 
 // ------------------------------------------------------------- kernels
 
+namespace {
+
+/// The kernel set of the active backend; active_backend() only ever
+/// resolves to an available row, whose kernels are compiled in.
+const KernelSet& active_kernels() noexcept {
+  return *kBackendTable[static_cast<int>(active_backend())].kernels;
+}
+
+}  // namespace
+
 void r0_rows(float* acc, const float* a, const float* b, int n,
              int row_begin, int row_end) noexcept {
-  switch (active_backend()) {
-#if RRI_SIMD_HAVE_AVX512
-    case Backend::kAvx512:
-      avx512::r0_rows(acc, a, b, n, row_begin, row_end);
-      return;
-#endif
-#if RRI_SIMD_HAVE_AVX2
-    case Backend::kAvx2:
-      avx2::r0_rows(acc, a, b, n, row_begin, row_end);
-      return;
-#endif
-    default:
-      break;
-  }
-  scalar::r0_rows(acc, a, b, n, row_begin, row_end);
+  active_kernels().r0_rows(acc, a, b, n, row_begin, row_end);
 }
 
 void r0_tiled(float* acc, const float* a, const float* b, int n,
               TileShape3 tile, int tile_begin, int tile_end) noexcept {
-  switch (active_backend()) {
-#if RRI_SIMD_HAVE_AVX512
-    case Backend::kAvx512:
-      avx512::r0_tiled(acc, a, b, n, tile, tile_begin, tile_end);
-      return;
-#endif
-#if RRI_SIMD_HAVE_AVX2
-    case Backend::kAvx2:
-      avx2::r0_tiled(acc, a, b, n, tile, tile_begin, tile_end);
-      return;
-#endif
-    default:
-      break;
-  }
-  scalar::r0_tiled(acc, a, b, n, tile, tile_begin, tile_end);
+  active_kernels().r0_tiled(acc, a, b, n, tile, tile_begin, tile_end);
 }
 
 void r0_regblocked(float* acc, const float* a, const float* b,
                    int n) noexcept {
-  switch (active_backend()) {
-#if RRI_SIMD_HAVE_AVX512
-    case Backend::kAvx512:
-      avx512::r0_regblocked(acc, a, b, n);
-      return;
-#endif
-#if RRI_SIMD_HAVE_AVX2
-    case Backend::kAvx2:
-      avx2::r0_regblocked(acc, a, b, n);
-      return;
-#endif
-    default:
-      break;
-  }
-  scalar::r0_regblocked(acc, a, b, n);
+  active_kernels().r0_regblocked(acc, a, b, n);
 }
 
 void maxplus_rows(float* acc, const float* a, const float* b, float r3add,
                   float r4add, int n, int row_begin, int row_end) noexcept {
-  switch (active_backend()) {
-#if RRI_SIMD_HAVE_AVX512
-    case Backend::kAvx512:
-      avx512::maxplus_rows(acc, a, b, r3add, r4add, n, row_begin, row_end);
-      return;
-#endif
-#if RRI_SIMD_HAVE_AVX2
-    case Backend::kAvx2:
-      avx2::maxplus_rows(acc, a, b, r3add, r4add, n, row_begin, row_end);
-      return;
-#endif
-    default:
-      break;
-  }
-  scalar::maxplus_rows(acc, a, b, r3add, r4add, n, row_begin, row_end);
+  active_kernels().maxplus_rows(acc, a, b, r3add, r4add, n, row_begin,
+                                row_end);
 }
 
 void maxplus_tiled(float* acc, const float* a, const float* b, float r3add,
                    float r4add, int n, TileShape3 tile, int tile_begin,
                    int tile_end) noexcept {
-  switch (active_backend()) {
-#if RRI_SIMD_HAVE_AVX512
-    case Backend::kAvx512:
-      avx512::maxplus_tiled(acc, a, b, r3add, r4add, n, tile, tile_begin,
-                            tile_end);
-      return;
-#endif
-#if RRI_SIMD_HAVE_AVX2
-    case Backend::kAvx2:
-      avx2::maxplus_tiled(acc, a, b, r3add, r4add, n, tile, tile_begin,
-                          tile_end);
-      return;
-#endif
-    default:
-      break;
-  }
-  scalar::maxplus_tiled(acc, a, b, r3add, r4add, n, tile, tile_begin,
-                        tile_end);
+  active_kernels().maxplus_tiled(acc, a, b, r3add, r4add, n, tile,
+                                 tile_begin, tile_end);
 }
 
 // Log-sum-exp kernels: active_backend(kLogSumExp) is always kScalar for

@@ -1,267 +1,13 @@
-/// AVX2 backend: register-tiled vectorized double max-plus. The unit of
-/// work is a 4-row × 16-column accumulator block (8 ymm registers) held
-/// across the whole uniform part of the k2 reduction — unroll-and-jam
-/// over (i2, j2) with the max vectorized along the contiguous j2
-/// dimension — so the steady state touches memory only for the two B-row
-/// vectors per split point instead of three memory operations per
-/// candidate. Triangle edges (the near-diagonal wedge, partial row
-/// blocks, sub-vector column tails) peel off to masked streaming spans.
-///
-/// Bit-identity with the scalar backend is structural, not accidental:
-/// every candidate is the same single fp32 add, the max reduction is
-/// order-insensitive, and _mm256_max_ps(acc, cand) picks the same
-/// operand as max2(acc, cand) on ties. The property harness
-/// (tests/property_test.cpp) enforces this across the variant × backend
-/// matrix; tests/simd_kernel_test.cpp fuzzes the masked-tail paths
-/// directly.
-///
-/// This TU is compiled with -mavx2 only (see src/core/CMakeLists.txt);
-/// nothing here may be called unless CPUID reports AVX2.
+/// AVX2 row of the backend table: the generic kernel body compiled with
+/// -mavx2 -mfma (per-source flags, src/core/CMakeLists.txt). Dispatch
+/// selects it only when CPUID reports avx2 and fma.
 
 #include "simd/kernels.hpp"
 
-#if RRI_SIMD_HAVE_AVX2
+#include "simd/kernels_generic.hpp"
 
-#include <immintrin.h>
+namespace rri::core::simd {
 
-#include <algorithm>
+extern const KernelSet kAvx2Kernels = generic::tropical_kernel_set();
 
-namespace rri::core::simd::avx2 {
-
-namespace {
-
-constexpr int kRows = 4;   ///< register-tile height
-constexpr int kCols = 16;  ///< register-tile width (2 ymm of fp32)
-
-/// Lane mask selecting the first `rem` of 8 lanes (1 <= rem <= 7).
-inline __m256i tail_mask(int rem) noexcept {
-  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  return _mm256_cmpgt_epi32(_mm256_set1_epi32(rem), iota);
-}
-
-/// row[j] = max(row[j], alpha + b[j]) for j in [j_lo, j_hi).
-inline void span_maxadd(float* row, const float* b, float alpha, int j_lo,
-                        int j_hi) noexcept {
-  const __m256 va = _mm256_set1_ps(alpha);
-  int j = j_lo;
-  for (; j + 8 <= j_hi; j += 8) {
-    const __m256 cand = _mm256_add_ps(va, _mm256_loadu_ps(b + j));
-    _mm256_storeu_ps(row + j,
-                     _mm256_max_ps(_mm256_loadu_ps(row + j), cand));
-  }
-  const int rem = j_hi - j;
-  if (rem > 0) {
-    const __m256i m = tail_mask(rem);
-    const __m256 cand = _mm256_add_ps(va, _mm256_maskload_ps(b + j, m));
-    const __m256 cur = _mm256_maskload_ps(row + j, m);
-    _mm256_maskstore_ps(row + j, m, _mm256_max_ps(cur, cand));
-  }
-}
-
-/// row[j] = max(row[j], max(a[j] + r3, r4 + b[j])) for j in [j_lo, j_hi)
-/// — the piggy-backed R3/R4 pass of one accumulator row.
-inline void span_r34(float* row, const float* arow, const float* brow,
-                     float r3, float r4, int j_lo, int j_hi) noexcept {
-  const __m256 v3 = _mm256_set1_ps(r3);
-  const __m256 v4 = _mm256_set1_ps(r4);
-  int j = j_lo;
-  for (; j + 8 <= j_hi; j += 8) {
-    const __m256 cand =
-        _mm256_max_ps(_mm256_add_ps(_mm256_loadu_ps(arow + j), v3),
-                      _mm256_add_ps(v4, _mm256_loadu_ps(brow + j)));
-    _mm256_storeu_ps(row + j,
-                     _mm256_max_ps(_mm256_loadu_ps(row + j), cand));
-  }
-  const int rem = j_hi - j;
-  if (rem > 0) {
-    const __m256i m = tail_mask(rem);
-    const __m256 cand =
-        _mm256_max_ps(_mm256_add_ps(_mm256_maskload_ps(arow + j, m), v3),
-                      _mm256_add_ps(v4, _mm256_maskload_ps(brow + j, m)));
-    const __m256 cur = _mm256_maskload_ps(row + j, m);
-    _mm256_maskstore_ps(row + j, m, _mm256_max_ps(cur, cand));
-  }
-}
-
-/// The register tile: rows [ib, ib+4) × columns [jc, jc+16), updated for
-/// every split point k2 in [k_lo, k_hi]. The caller guarantees the block
-/// is uniformly valid: k2 >= ib+3 (every row's k2 >= i2 holds) and
-/// k2 < jc (every column's j2 > k2 holds). Accumulators live in 8 ymm
-/// registers across the whole loop; per k2 the only memory traffic is
-/// two B-vector loads and four scalar A broadcasts.
-inline void block4x16(float* acc, const float* a, const float* b,
-                      std::size_t stride, int ib, int jc, int k_lo,
-                      int k_hi) noexcept {
-  float* r0 = acc + static_cast<std::size_t>(ib) * stride + jc;
-  float* r1 = r0 + stride;
-  float* r2 = r1 + stride;
-  float* r3 = r2 + stride;
-  __m256 acc00 = _mm256_loadu_ps(r0);
-  __m256 acc01 = _mm256_loadu_ps(r0 + 8);
-  __m256 acc10 = _mm256_loadu_ps(r1);
-  __m256 acc11 = _mm256_loadu_ps(r1 + 8);
-  __m256 acc20 = _mm256_loadu_ps(r2);
-  __m256 acc21 = _mm256_loadu_ps(r2 + 8);
-  __m256 acc30 = _mm256_loadu_ps(r3);
-  __m256 acc31 = _mm256_loadu_ps(r3 + 8);
-  const float* a0 = a + static_cast<std::size_t>(ib) * stride;
-  const float* a1 = a0 + stride;
-  const float* a2 = a1 + stride;
-  const float* a3 = a2 + stride;
-  for (int k2 = k_lo; k2 <= k_hi; ++k2) {
-    const float* bv = b + static_cast<std::size_t>(k2 + 1) * stride + jc;
-    const __m256 b0 = _mm256_loadu_ps(bv);
-    const __m256 b1 = _mm256_loadu_ps(bv + 8);
-    __m256 al = _mm256_set1_ps(a0[k2]);
-    acc00 = _mm256_max_ps(acc00, _mm256_add_ps(al, b0));
-    acc01 = _mm256_max_ps(acc01, _mm256_add_ps(al, b1));
-    al = _mm256_set1_ps(a1[k2]);
-    acc10 = _mm256_max_ps(acc10, _mm256_add_ps(al, b0));
-    acc11 = _mm256_max_ps(acc11, _mm256_add_ps(al, b1));
-    al = _mm256_set1_ps(a2[k2]);
-    acc20 = _mm256_max_ps(acc20, _mm256_add_ps(al, b0));
-    acc21 = _mm256_max_ps(acc21, _mm256_add_ps(al, b1));
-    al = _mm256_set1_ps(a3[k2]);
-    acc30 = _mm256_max_ps(acc30, _mm256_add_ps(al, b0));
-    acc31 = _mm256_max_ps(acc31, _mm256_add_ps(al, b1));
-  }
-  _mm256_storeu_ps(r0, acc00);
-  _mm256_storeu_ps(r0 + 8, acc01);
-  _mm256_storeu_ps(r1, acc10);
-  _mm256_storeu_ps(r1 + 8, acc11);
-  _mm256_storeu_ps(r2, acc20);
-  _mm256_storeu_ps(r2 + 8, acc21);
-  _mm256_storeu_ps(r3, acc30);
-  _mm256_storeu_ps(r3 + 8, acc31);
-}
-
-/// All R0 contributions with rows in [row_begin, row_end), split points
-/// in [k_begin, k_cap) and columns in [j_begin, j_cap), additionally
-/// clipped to the triangle (k2 >= i2, j2 > k2). This one decomposition
-/// serves both the untiled kernels (full ranges) and the TileShape3
-/// kernels (per-tile ranges): full 4×16 pieces go through the register
-/// tile, everything else (row remainders, the head k2 range a row owns
-/// before the block-uniform start, the near-diagonal wedge, sub-vector
-/// column tails) streams through masked spans.
-void r0_block(float* acc, const float* a, const float* b, int n,
-              int row_begin, int row_end, int k_begin, int k_cap,
-              int j_begin, int j_cap) noexcept {
-  const auto stride = static_cast<std::size_t>(n);
-  const int k_end = std::min(k_cap, n - 1);  // exclusive
-  int ib = row_begin;
-  for (; ib + kRows <= row_end; ib += kRows) {
-    for (int jc = j_begin; jc < j_cap; jc += kCols) {
-      const int jw = std::min(kCols, j_cap - jc);
-      // Uniform range: every row of the block has k2 >= i2, every
-      // column has j2 > k2.
-      const int k_lo = std::max(k_begin, ib + kRows - 1);
-      const int k_hi = std::min(k_end - 1, jc - 1);
-      const bool blocked = jw == kCols && k_lo <= k_hi;
-      if (blocked) {
-        block4x16(acc, a, b, stride, ib, jc, k_lo, k_hi);
-      }
-      for (int r = 0; r < kRows; ++r) {
-        const int row = ib + r;
-        float* accrow = acc + static_cast<std::size_t>(row) * stride;
-        const float* arow = a + static_cast<std::size_t>(row) * stride;
-        for (int k2 = std::max(k_begin, row); k2 < k_end; ++k2) {
-          if (blocked && k2 >= k_lo) {
-            if (k2 > k_hi) {
-              // fall through: wedge split points after the block
-            } else {
-              k2 = k_hi;  // skip the range the register tile covered
-              continue;
-            }
-          }
-          if (k2 + 1 >= jc + jw) {
-            break;  // no column of this window is right of k2
-          }
-          span_maxadd(accrow, b + static_cast<std::size_t>(k2 + 1) * stride,
-                      arow[k2], std::max(jc, k2 + 1), jc + jw);
-        }
-      }
-    }
-  }
-  // Row remainder (< kRows rows): pure streaming.
-  for (int row = ib; row < row_end; ++row) {
-    float* accrow = acc + static_cast<std::size_t>(row) * stride;
-    const float* arow = a + static_cast<std::size_t>(row) * stride;
-    for (int k2 = std::max(k_begin, row); k2 < k_end; ++k2) {
-      if (k2 + 1 >= j_cap) {
-        break;
-      }
-      span_maxadd(accrow, b + static_cast<std::size_t>(k2 + 1) * stride,
-                  arow[k2], std::max(j_begin, k2 + 1), j_cap);
-    }
-  }
-}
-
-}  // namespace
-
-void r0_rows(float* acc, const float* a, const float* b, int n,
-             int row_begin, int row_end) noexcept {
-  r0_block(acc, a, b, n, row_begin, row_end, 0, n - 1, 0, n);
-}
-
-void r0_tiled(float* acc, const float* a, const float* b, int n,
-              TileShape3 tile, int tile_begin, int tile_end) noexcept {
-  const int ti = tile.ti2 > 0 ? tile.ti2 : n;
-  const int tk = tile.tk2 > 0 ? tile.tk2 : n;
-  const int tj = tile.tj2 > 0 ? tile.tj2 : n;
-  for (int it = tile_begin; it < tile_end; ++it) {
-    const int i2_lo = it * ti;
-    const int i2_hi = std::min(i2_lo + ti, n);
-    for (int kk = i2_lo; kk < n - 1; kk += tk) {
-      const int k2_cap = std::min(kk + tk, n - 1);
-      for (int jj = kk + 1; jj < n; jj += tj) {
-        const int j2_cap = std::min(jj + tj, n);
-        r0_block(acc, a, b, n, i2_lo, i2_hi, kk, k2_cap, jj, j2_cap);
-      }
-    }
-  }
-}
-
-void r0_regblocked(float* acc, const float* a, const float* b,
-                   int n) noexcept {
-  // The streaming-rows entry point IS register-blocked in this backend.
-  r0_block(acc, a, b, n, 0, n, 0, n - 1, 0, n);
-}
-
-void maxplus_rows(float* acc, const float* a, const float* b, float r3add,
-                  float r4add, int n, int row_begin, int row_end) noexcept {
-  const auto stride = static_cast<std::size_t>(n);
-  for (int i2 = row_begin; i2 < row_end; ++i2) {
-    const auto off = static_cast<std::size_t>(i2) * stride;
-    span_r34(acc + off, a + off, b + off, r3add, r4add, i2, n);
-  }
-  r0_block(acc, a, b, n, row_begin, row_end, 0, n - 1, 0, n);
-}
-
-void maxplus_tiled(float* acc, const float* a, const float* b, float r3add,
-                   float r4add, int n, TileShape3 tile, int tile_begin,
-                   int tile_end) noexcept {
-  const auto stride = static_cast<std::size_t>(n);
-  const int ti = tile.ti2 > 0 ? tile.ti2 : n;
-  const int tk = tile.tk2 > 0 ? tile.tk2 : n;
-  const int tj = tile.tj2 > 0 ? tile.tj2 : n;
-  for (int it = tile_begin; it < tile_end; ++it) {
-    const int i2_lo = it * ti;
-    const int i2_hi = std::min(i2_lo + ti, n);
-    // R3/R4 pass for this row band (dense over j2 >= i2).
-    for (int i2 = i2_lo; i2 < i2_hi; ++i2) {
-      const auto off = static_cast<std::size_t>(i2) * stride;
-      span_r34(acc + off, a + off, b + off, r3add, r4add, i2, n);
-    }
-    for (int kk = i2_lo; kk < n - 1; kk += tk) {
-      const int k2_cap = std::min(kk + tk, n - 1);
-      for (int jj = kk + 1; jj < n; jj += tj) {
-        const int j2_cap = std::min(jj + tj, n);
-        r0_block(acc, a, b, n, i2_lo, i2_hi, kk, k2_cap, jj, j2_cap);
-      }
-    }
-  }
-}
-
-}  // namespace rri::core::simd::avx2
-
-#endif  // RRI_SIMD_HAVE_AVX2
+}  // namespace rri::core::simd

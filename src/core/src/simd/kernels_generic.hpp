@@ -2,19 +2,24 @@
 #define RRI_CORE_SRC_SIMD_KERNELS_GENERIC_HPP
 
 /// \file kernels_generic.hpp
-/// Semiring-generic bodies of the portable backend's kernels. Every loop
-/// nest here is the scalar reference schedule with the algebra lifted to
-/// a SemiringPolicy: `plus` replaces max, `times` replaces +. The
-/// tropical instantiation (MaxPlus<float>) is the pre-refactor scalar
-/// backend **by construction** — identical loop structure and identical
-/// per-element fp ops (MaxPlus::plus is the same by-value `a > b ? a : b`
-/// the old max2 helper used), so its tables stay bit-identical under the
-/// property/golden harness. The log-sum-exp instantiation
-/// (LogSumExp<double>) reuses the exact same schedules; because every
-/// form below applies a cell's updates in the same order (dense R3/R4
-/// pass first, then the k2 reduction ascending), the rows/tiled/blocked
-/// schedules stay bit-identical to each other even though log-add-exp
-/// does not reassociate exactly.
+/// Semiring-generic bodies of the dispatched kernels. Every loop nest is
+/// the reference schedule (j2 innermost, `#pragma omp simd`, no
+/// intrinsics) with the algebra lifted to a SemiringPolicy: `plus`
+/// replaces max, `times` replaces +. Every form applies a cell's updates
+/// in the same order (dense R3/R4 pass first, then the k2 reduction
+/// ascending), so the rows and tiled schedules agree bit for bit even
+/// under log-add-exp, which does not reassociate exactly.
+///
+/// This is the only tropical kernel body. Each backend row of the
+/// dispatch table is this header compiled in its own TU with that ISA's
+/// flags (kernels_scalar.cpp, kernels_avx2.cpp, kernels_avx512.cpp); the
+/// compiler vectorizes the j2 loops to the TU's vector width, as the
+/// paper's AlphaZ-generated C is vectorized. A tropical candidate is one
+/// fp32 add and one max, applied per cell in the same order on every
+/// ISA, so the compilations agree bit for bit. The templates sit in an
+/// unnamed namespace: each TU keeps its own instantiations, which the
+/// linker would otherwise fold into one (whichever ISA it saw first)
+/// because they share a mangled name.
 ///
 /// Kernel contract (see rri/core/simd/maxplus_simd.hpp): acc, a, b are
 /// N x N row-major triangle blocks, rows unit-stride in j2,
@@ -35,8 +40,11 @@
 
 #include "rri/core/bpmax.hpp"
 #include "rri/semiring/logsumexp.hpp"
+#include "rri/semiring/tropical.hpp"
+#include "simd/kernels.hpp"
 
 namespace rri::core::simd::generic {
+namespace {
 
 template <semiring::SemiringPolicy P>
 void r0_rows(typename P::value_type* acc, const typename P::value_type* a,
@@ -93,10 +101,12 @@ void r0_tiled(typename P::value_type* acc, const typename P::value_type* a,
   }
 }
 
-/// Register-blocked pure-R0 schedule; see kernels_scalar.cpp for the
-/// blocking rationale. 4-row x 32-column accumulator blocks, boundary
-/// rows/columns and the near-diagonal wedge fall back to the streaming
-/// form.
+/// Register-blocked pure-R0 schedule (the paper's future-work second
+/// tiling level): 4-row x 32-column accumulator blocks held across the
+/// whole k2 reduction; boundary rows/columns and the near-diagonal wedge
+/// fall back to the streaming form. No fill variant calls it (it lost to
+/// r0_tiled at every probed shape, see EXPERIMENTS.md "Ablations"); it
+/// stays a public kernel.
 template <semiring::SemiringPolicy P>
 void r0_regblocked(typename P::value_type* acc,
                    const typename P::value_type* a,
@@ -257,6 +267,14 @@ void maxplus_tiled(typename P::value_type* acc,
   }
 }
 
+/// The tropical kernel set as compiled for the including TU's ISA.
+constexpr KernelSet tropical_kernel_set() noexcept {
+  using Tropical = semiring::MaxPlus<float>;
+  return {r0_rows<Tropical>, r0_tiled<Tropical>, r0_regblocked<Tropical>,
+          maxplus_rows<Tropical>, maxplus_tiled<Tropical>};
+}
+
+}  // namespace
 }  // namespace rri::core::simd::generic
 
 #endif  // RRI_CORE_SRC_SIMD_KERNELS_GENERIC_HPP

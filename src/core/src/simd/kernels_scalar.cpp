@@ -1,50 +1,22 @@
-/// Portable-scalar backend: the reference loop nests (j2 innermost,
-/// `#pragma omp simd` hints, no intrinsics), expressed as the tropical
-/// float instantiation of the semiring-generic bodies in
-/// kernels_generic.hpp. MaxPlus<float>::plus is the same by-value
-/// `a > b ? a : b` the old max2 helper used and times is the same
-/// per-element fp32 +, so this TU compiles to the pre-refactor kernels —
-/// every other backend must match these bit for bit. The lse_* entry
-/// points are the LogSumExp<double> instantiations of the same bodies
-/// (the BPPart inside fill and the log-domain dmp mini-app).
+/// Portable row of the backend table: the generic kernel body compiled
+/// with the base flags only (SSE2 on x86-64, or whatever -march the build
+/// sets). Besides the tropical set it carries the lse_* entry points, the
+/// LogSumExp<double> instantiations of the same bodies (the BPPart inside
+/// fill and the log-domain dmp mini-app), which no other row has yet.
 
 #include "simd/kernels.hpp"
 
-#include "rri/semiring/logsumexp.hpp"
 #include "simd/kernels_generic.hpp"
+
+namespace rri::core::simd {
+
+extern const KernelSet kScalarKernels = generic::tropical_kernel_set();
+
+}  // namespace rri::core::simd
 
 namespace rri::core::simd::scalar {
 
-using Tropical = semiring::MaxPlus<float>;
 using LogSum = semiring::LogSumExp<double>;
-
-void r0_rows(float* acc, const float* a, const float* b, int n,
-             int row_begin, int row_end) noexcept {
-  generic::r0_rows<Tropical>(acc, a, b, n, row_begin, row_end);
-}
-
-void r0_tiled(float* acc, const float* a, const float* b, int n,
-              TileShape3 tile, int tile_begin, int tile_end) noexcept {
-  generic::r0_tiled<Tropical>(acc, a, b, n, tile, tile_begin, tile_end);
-}
-
-void r0_regblocked(float* acc, const float* a, const float* b,
-                   int n) noexcept {
-  generic::r0_regblocked<Tropical>(acc, a, b, n);
-}
-
-void maxplus_rows(float* acc, const float* a, const float* b, float r3add,
-                  float r4add, int n, int row_begin, int row_end) noexcept {
-  generic::maxplus_rows<Tropical>(acc, a, b, r3add, r4add, n, row_begin,
-                                  row_end);
-}
-
-void maxplus_tiled(float* acc, const float* a, const float* b, float r3add,
-                   float r4add, int n, TileShape3 tile, int tile_begin,
-                   int tile_end) noexcept {
-  generic::maxplus_tiled<Tropical>(acc, a, b, r3add, r4add, n, tile,
-                                   tile_begin, tile_end);
-}
 
 void lse_r0_rows(double* acc, const double* a, const double* b, int n,
                  int row_begin, int row_end) noexcept {

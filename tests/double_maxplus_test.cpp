@@ -100,19 +100,22 @@ std::vector<DmpCase> dmp_cases() {
   std::vector<DmpCase> cases;
   for (const DmpVariant v :
        {DmpVariant::kPermuted, DmpVariant::kCoarse, DmpVariant::kFine,
-        DmpVariant::kTiled, DmpVariant::kRegTiled}) {
+        DmpVariant::kTiled}) {
     cases.push_back({v, 9, 12, {4, 2, 0}});
     cases.push_back({v, 12, 9, {3, 3, 3}});
     cases.push_back({v, 1, 10, {2, 2, 2}});
     cases.push_back({v, 10, 1, {2, 2, 2}});
     cases.push_back({v, 16, 16, {5, 4, 6}});
   }
-  // Sizes around the register-block edges (4 rows x 32 columns).
-  cases.push_back({DmpVariant::kRegTiled, 5, 33, {}});
-  cases.push_back({DmpVariant::kRegTiled, 4, 32, {}});
-  cases.push_back({DmpVariant::kRegTiled, 6, 65, {}});
-  cases.push_back({DmpVariant::kRegTiled, 3, 31, {}});
-  cases.push_back({DmpVariant::kRegTiled, 8, 40, {}});
+  // Sizes around the default 32-row tile and the 16-lane zmm width, on
+  // the default tile (tiled) and the row kernels (fine).
+  for (const DmpVariant v : {DmpVariant::kTiled, DmpVariant::kFine}) {
+    cases.push_back({v, 5, 33, {}});
+    cases.push_back({v, 4, 32, {}});
+    cases.push_back({v, 6, 65, {}});
+    cases.push_back({v, 3, 31, {}});
+    cases.push_back({v, 8, 40, {}});
+  }
   // Degenerate tile shapes only matter for the tiled variant.
   cases.push_back({DmpVariant::kTiled, 10, 10, {1, 1, 1}});
   cases.push_back({DmpVariant::kTiled, 10, 10, {0, 0, 0}});
@@ -187,7 +190,7 @@ TEST(DmpProperties, DeterministicAcrossRuns) {
 TEST(DmpApi, VariantNamesStable) {
   EXPECT_STREQ(dmp_variant_name(DmpVariant::kBaseline), "baseline");
   EXPECT_STREQ(dmp_variant_name(DmpVariant::kTiled), "tiled");
-  EXPECT_EQ(all_dmp_variants().size(), 6u);
+  EXPECT_EQ(all_dmp_variants().size(), 5u);
 }
 
 // -------------------------------------------------------- log-sum-exp twin

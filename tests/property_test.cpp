@@ -89,8 +89,8 @@ Instance make_instance(std::uint64_t base_seed, int iter) {
   std::mt19937_64 rng(base_seed + 0x9e3779b97f4a7c15ULL *
                                       static_cast<std::uint64_t>(iter + 1));
   // Small shapes dominate (they exercise every tail path and keep the
-  // sweep fast); occasionally jump past two register tiles so the vector
-  // backend's interior blocks run too.
+  // sweep fast); occasionally jump past two zmm widths so the vector
+  // compilations' full-width loop bodies run too.
   std::uniform_int_distribution<int> small(1, 14);
   std::uniform_int_distribution<int> large(17, 40);
   std::uniform_int_distribution<int> pick(0, 9);

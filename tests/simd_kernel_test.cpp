@@ -1,11 +1,11 @@
-/// Direct differential tests of the rri::core::simd kernel backends,
-/// concentrating on the triangle-tail machinery the vector backends add:
-/// sizes around the register-tile shapes (4 rows × 16 columns of 8-lane
-/// ymm for AVX2, 4 rows × 32 columns of 16-lane zmm for AVX-512),
-/// masked column tails at every offset, partial row blocks, and
-/// degenerate strands through the full solver. Every test runs once per
-/// supported vector backend against the scalar oracle; comparisons
-/// demand bit equality.
+/// Direct differential tests of the rri::core::simd kernel backends. Every
+/// backend is the same generic kernel body compiled for another ISA, so
+/// these check that the per-ISA compilations agree: sizes around every
+/// vector width (8-lane ymm, 16-lane zmm) and the default 32-row tile,
+/// the compiler's vector remainder loops at every column offset, partial
+/// row blocks, and degenerate strands through the full solver. Every test
+/// runs once per supported vector backend against the scalar oracle;
+/// comparisons demand bit equality.
 
 #include <gtest/gtest.h>
 
@@ -220,11 +220,12 @@ TEST(SimdDispatch, SupportedExplicitRequestIsSilent) {
   EXPECT_EQ(err.find("RRI_SIMD"), std::string::npos) << err;
 }
 
-/// Sizes straddling every interesting boundary of both register tiles
-/// (4 rows × 16 columns for AVX2, 4 rows × 32 for AVX-512) and their
-/// vector widths: 1 .. 2*16+1 densely, then ±1 around every multiple of
-/// 32 up to 4*32+1 so the zmm lane boundaries (32, 64, 96, 128) are hit
-/// exactly, one short, and one over.
+/// Sizes straddling every vector width and the default tile: 1 .. 2*16+1
+/// densely (this covers the daemon workload's 21-25 nt strands), then ±1
+/// around every multiple of 32 up to 4*32+1 so the zmm lane and ti2
+/// boundaries (32, 64, 96, 128) are hit exactly, one short, and one
+/// over, and 140, the solve-pair workload's long strand, whose last
+/// 32-row tile is 12 rows.
 std::vector<int> edge_sizes() {
   std::vector<int> sizes;
   for (int n = 1; n <= 33; ++n) {
@@ -236,6 +237,7 @@ std::vector<int> edge_sizes() {
     sizes.push_back(pivot);
     sizes.push_back(pivot + 1);
   }
+  sizes.push_back(140);
   return sizes;
 }
 
@@ -307,25 +309,29 @@ TEST_P(SimdKernelEdgeSizes, MaxplusRowsBitIdentical) {
 
 TEST_P(SimdKernelEdgeSizes, MaxplusTiledBitIdentical) {
   const int n = GetParam();
-  const core::TileShape3 tile{4, 4, 0};
-  const int n_tiles = (n + 3) / 4;
-  for (const Backend backend : vector_backends()) {
-    const auto [s, v] = run_both(
-        backend, n, 505, [&](float* acc, const float* a, const float* b,
-                             int nn) {
-          core::simd::maxplus_tiled(acc, a, b, 0.5f, 2.0f, nn, tile, 0,
-                                    n_tiles);
-        });
-    EXPECT_TRUE(blocks_equal(s, v, n)) << core::simd::backend_name(backend);
+  // A small tile, and the default 32x4xN that hybrid_tiled runs.
+  for (const core::TileShape3 tile :
+       {core::TileShape3{4, 4, 0}, core::TileShape3{}}) {
+    const int n_tiles = (n + tile.ti2 - 1) / tile.ti2;
+    for (const Backend backend : vector_backends()) {
+      const auto [s, v] = run_both(
+          backend, n, 505, [&](float* acc, const float* a, const float* b,
+                               int nn) {
+            core::simd::maxplus_tiled(acc, a, b, 0.5f, 2.0f, nn, tile, 0,
+                                      n_tiles);
+          });
+      EXPECT_TRUE(blocks_equal(s, v, n))
+          << core::simd::backend_name(backend) << " tile " << tile.ti2
+          << "x" << tile.tk2 << "x" << tile.tj2;
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(EdgeSizes, SimdKernelEdgeSizes,
                          ::testing::ValuesIn(edge_sizes()));
 
-/// Masked-tail fuzz: partial row ranges at every offset, so the vector
-/// backends hit their leftover-row streaming paths and every tail width
-/// below their lane counts on both ends of the column windows.
+/// Partial row ranges at every offset, so each compilation's vector
+/// remainder loops see every tail width below its lane count.
 TEST(SimdKernelFuzz, PartialRowRanges) {
   if (vector_backends().empty()) {
     GTEST_SKIP() << "no vector backend available on this host/build";
@@ -350,11 +356,10 @@ TEST(SimdKernelFuzz, PartialRowRanges) {
   }
 }
 
-/// Seeded masked-tail fuzz: random (row_begin, row_end, n) triples drawn
-/// from a size range wide enough to cover both register tiles, multiple
-/// full zmm columns, and every tail width — the cases most likely to
-/// expose a wrong __mmask16 or a miscounted leftover row. The seed is
-/// printed in the failure message so any counterexample replays exactly.
+/// Seeded row-range fuzz: random (row_begin, row_end, n) triples drawn
+/// from a size range wide enough to cover several full zmm columns and
+/// every tail width. The seed is printed in the failure message so any
+/// counterexample replays exactly.
 TEST(SimdKernelFuzz, RandomRowRangeTriples) {
   if (vector_backends().empty()) {
     GTEST_SKIP() << "no vector backend available on this host/build";
