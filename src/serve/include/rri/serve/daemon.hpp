@@ -5,13 +5,16 @@
 /// The long-running serving daemon behind tools/rri_served: a TCP
 /// listener speaking the length-prefixed JSONL frame protocol
 /// (protocol.hpp), a journaled JobStore (jobstore.hpp) so accepted work
-/// survives `kill -9`, and a streaming worker pool — the batch engine's
-/// lifecycle reworked from "drain one manifest, then exit" to "serve
-/// until asked to stop". The scheduler's closed-form cost model gates
-/// admission: a job whose F-table exceeds the budget is refused at
-/// submit time with a structured error frame instead of an OOM kill
-/// mid-flight. Duplicate submissions of served pairs hit the same
-/// ResultCache the batch engine uses.
+/// survives `kill -9`, and the same job runtime as run_batch
+/// (runtime.hpp: cache, queue, worker pool, execute), fed until asked
+/// to stop instead of for one manifest. The daemon keeps sockets, verbs,
+/// admission, the journal and telemetry; its runtime hooks are the
+/// deadline shed + queued -> running (claim) and done | failed, the
+/// admission release and fail_after (settle). The scheduler's
+/// closed-form cost model gates admission: a job whose F-table exceeds
+/// the budget is refused at submit time with a structured error frame
+/// instead of an OOM kill mid-flight. Duplicate submissions of served
+/// pairs hit the runtime's ResultCache.
 ///
 /// Lifecycle: start() binds + listens; run() serves until a `drain`
 /// frame arrives or the configured stop flag goes true (the SIGTERM /
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -40,12 +44,11 @@
 #include "rri/obs/metrics.hpp"
 #include "rri/obs/slo.hpp"
 #include "rri/obs/timeseries.hpp"
-#include "rri/serve/cache.hpp"
 #include "rri/serve/chaos.hpp"
 #include "rri/serve/job.hpp"
 #include "rri/serve/jobstore.hpp"
 #include "rri/serve/protocol.hpp"
-#include "rri/serve/queue.hpp"
+#include "rri/serve/runtime.hpp"
 #include "rri/serve/tenant.hpp"
 
 namespace rri::serve {
@@ -119,7 +122,7 @@ struct DaemonStats {
   std::size_t protocol_errors = 0;   ///< frames answered with an error
   std::size_t jobs_submitted = 0;    ///< accepted this run
   std::size_t jobs_rejected = 0;     ///< refused by admission control
-  std::size_t jobs_executed = 0;     ///< kernel runs this run
+  std::size_t jobs_executed = 0;     ///< kernel runs this run (no cache hits)
   std::size_t jobs_replayed = 0;     ///< terminal jobs adopted from journal
   std::size_t jobs_requeued = 0;     ///< interrupted jobs re-enqueued
   std::size_t quota_rejections = 0;  ///< submits refused by tenant quotas
@@ -169,16 +172,27 @@ class Daemon {
   };
 
   void accept_loop();
-  void worker_loop(int worker_id);
   void handle_connection(Connection* conn);
   /// One response frame through the chaos plan (stall / split / reset).
   /// False when the write failed or chaos reset the connection.
   bool send_frame(Connection* conn, const std::string& payload);
+  /// Count one injected chaos fault (stats, obs counter, trace event).
+  void note_chaos(const char* counter, const char* event);
+  /// The stall and reset faults shared by the read and write paths:
+  /// sleeps through a stall; true when a reset was armed on `fd`.
+  bool chaos_stall_or_reset(int fd);
   std::string handle_request(const Request& req, bool* drain_out);
   std::string submit_response(const Request& req);
   std::string result_response(const Request& req);
-  JobOutcome execute(const Job& job);
+  /// The runtime's hooks. claim: deadline shed, then queued -> running.
+  /// settle: done | failed, the admission release, and fail_after.
+  std::optional<Job> claim(Runtime::Handle handle);
+  bool settle(const JobOutcome& outcome, const std::string& error);
+  /// Drain's last pass: every job still queued in the store runs
+  /// through claim -> execute -> settle on the calling thread.
   void finish_remaining_inline();
+  /// A runtime handle for `id` (mutex_ held).
+  Runtime::Handle handle_for_locked(const std::string& id);
   /// Record admission bookkeeping for a job (mutex_ held).
   void record_admission_locked(const Job& job, double table_bytes);
   /// Release a job's admission back to the governor (mutex_ held).
@@ -206,8 +220,10 @@ class Daemon {
   mutable std::mutex mutex_;             ///< guards store_/stats_/conns_
   std::condition_variable terminal_cv_;  ///< result-waiters
   JobStore store_;
-  ResultCache cache_;
-  BoundedQueue<std::string> queue_;
+  Runtime runtime_;
+  /// Job id per runtime handle, from push until claim (mutex_ held).
+  std::unordered_map<Runtime::Handle, std::string> handle_ids_;
+  Runtime::Handle next_handle_ = 0;
   TenantGovernor governor_;
   DaemonStats stats_;
   std::unordered_map<std::string, Admission> admitted_;
@@ -218,7 +234,6 @@ class Daemon {
   std::atomic<bool> interrupted_{false};
   std::atomic<bool> closing_{false};
 
-  std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<Connection>> conns_;
   std::chrono::steady_clock::time_point started_at_{};
 

@@ -2,15 +2,17 @@
 #define RRI_SERVE_ENGINE_HPP
 
 /// \file engine.hpp
-/// The batch-serving engine: a fixed pool of worker threads draining a
-/// bounded JobQueue in the scheduler's largest-first order, each worker
-/// executing whole jobs with the serial or OpenMP kernel (the grain
-/// knob: coarse job-parallelism over workers composes with the paper's
-/// fine-grain parallel kernels via per-job OpenMP thread counts — each
-/// worker thread carries its own OpenMP nthreads ICV). Duplicate pairs
-/// are served from the ResultCache; progress is checkpointed through a
-/// BlobStore so an interrupted batch resumes without redoing finished
-/// jobs. Emits serve.* obs counters (docs/serving.md).
+/// The batch front end of the job runtime (runtime.hpp): run_batch
+/// plans a manifest largest-first, pushes it through the runtime's
+/// bounded queue and worker pool, and keeps what is its own — the plan,
+/// single-flight for in-batch duplicates (a duplicate never starts a
+/// kernel while its primary runs), RRBS checkpoints through a BlobStore
+/// so an interrupted batch resumes without redoing finished jobs, and
+/// the max_jobs hook. Each worker runs whole jobs with the serial or
+/// OpenMP kernel (the grain: coarse job-parallelism over workers
+/// composes with the paper's fine-grain parallel kernels, since each
+/// worker thread carries its own OpenMP nthreads ICV). Emits serve.*
+/// obs counters (docs/serving.md).
 
 #include <cstddef>
 #include <cstdint>

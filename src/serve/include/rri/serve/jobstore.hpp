@@ -147,7 +147,7 @@ class JobStore {
 
  private:
   void append(JournalRecord record);
-  StoredJob* apply(const JournalRecord& record);  ///< fold into jobs_
+  void apply(const JournalRecord& record);  ///< fold into jobs_
 
   mpisim::BlobStore* store_;
   std::vector<JournalRecord> journal_;

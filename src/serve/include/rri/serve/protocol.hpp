@@ -53,6 +53,10 @@ class ProtocolError : public std::runtime_error {
 std::string encode_frame(const std::string& payload,
                          std::size_t max_frame = kMaxFrameBytes);
 
+/// Write every byte to socket `fd`, retrying on EINTR. False on a send
+/// error (the peer is gone).
+bool send_all(int fd, const std::string& bytes);
+
 /// Incremental frame extractor for one connection. Feed raw bytes as
 /// they arrive; next() yields complete payloads in order. A declared
 /// length over the budget poisons the reader (the stream offset is

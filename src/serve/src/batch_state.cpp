@@ -1,51 +1,19 @@
 #include "rri/serve/batch_state.hpp"
 
-#include <cstring>
-
+#include "codec.hpp"
 #include "rri/core/crc32.hpp"
-#include "rri/core/serialize.hpp"
 #include "rri/obs/obs.hpp"
 
 namespace rri::serve {
 namespace {
 
+using codec::append_pod;
+using codec::take_pod;
+
 constexpr char kMagic[4] = {'R', 'R', 'B', 'S'};
 /// v2 appends the algebra tag + log_z to each outcome (mirroring RRJL
 /// v3); v1 checkpoints decode with the tropical defaults.
-constexpr std::uint32_t kVersionLegacy = 1;
 constexpr std::uint32_t kVersion = 2;
-
-template <typename T>
-void append_pod(std::string& out, const T& value) {
-  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T take_pod(const std::string& bytes, std::size_t& pos, std::size_t end) {
-  if (pos + sizeof(T) > end) {
-    throw core::SerializeError("truncated batch state");
-  }
-  T value{};
-  std::memcpy(&value, bytes.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return value;
-}
-
-void append_string(std::string& out, const std::string& s) {
-  append_pod(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-
-std::string take_string(const std::string& bytes, std::size_t& pos,
-                        std::size_t end) {
-  const auto len = take_pod<std::uint32_t>(bytes, pos, end);
-  if (pos + len > end) {
-    throw core::SerializeError("truncated batch state");
-  }
-  std::string s = bytes.substr(pos, len);
-  pos += len;
-  return s;
-}
 
 }  // namespace
 
@@ -68,63 +36,24 @@ std::string encode_batch_state(const BatchState& state) {
   append_pod(out, state.manifest_digest);
   append_pod(out, static_cast<std::uint32_t>(state.completed.size()));
   for (const JobOutcome& o : state.completed) {
-    append_string(out, o.id);
-    append_pod(out, o.key);
-    append_pod(out, static_cast<std::int32_t>(o.m));
-    append_pod(out, static_cast<std::int32_t>(o.n));
-    append_pod(out, o.score);
-    append_pod(out, static_cast<std::uint8_t>(o.cache_hit ? 1 : 0));
-    append_pod(out, static_cast<std::uint8_t>(o.rejected ? 1 : 0));
-    append_pod(out, o.seconds);
-    append_pod(out, static_cast<std::uint8_t>(o.algebra));
-    append_pod(out, o.log_z);
+    codec::append_outcome(out, o);
   }
   append_pod(out, core::crc32(out.data(), out.size()));
   return out;
 }
 
 BatchState decode_batch_state(const std::string& bytes) {
-  if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    throw core::SerializeError("not an RRBS batch state (bad magic)");
-  }
-  // Integrity first: everything after this line may trust the bytes.
-  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
-  std::uint32_t footer = 0;
-  std::memcpy(&footer, bytes.data() + body, sizeof(footer));
-  const std::uint32_t computed = core::crc32(bytes.data(), body);
-  if (footer != computed) {
-    throw core::SerializeError(
-        "batch state checksum mismatch (stored CRC32 " +
-        std::to_string(footer) + ", computed " + std::to_string(computed) +
-        ")");
-  }
-  std::size_t pos = sizeof(kMagic);
-  const auto version = take_pod<std::uint32_t>(bytes, pos, body);
-  if (version != kVersion && version != kVersionLegacy) {
-    throw core::SerializeError("unsupported RRBS version " +
-                               std::to_string(version));
-  }
+  std::size_t pos = 0;
+  std::size_t body = 0;
+  const std::uint32_t version =
+      codec::open_blob(bytes, kMagic, "batch state", kVersion, pos, body);
   BatchState state;
   state.manifest_digest = take_pod<std::uint32_t>(bytes, pos, body);
   const auto count = take_pod<std::uint32_t>(bytes, pos, body);
   state.completed.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    JobOutcome o;
-    o.id = take_string(bytes, pos, body);
-    o.key = take_pod<std::uint32_t>(bytes, pos, body);
-    o.m = take_pod<std::int32_t>(bytes, pos, body);
-    o.n = take_pod<std::int32_t>(bytes, pos, body);
-    o.score = take_pod<float>(bytes, pos, body);
-    o.cache_hit = take_pod<std::uint8_t>(bytes, pos, body) != 0;
-    o.rejected = take_pod<std::uint8_t>(bytes, pos, body) != 0;
-    o.seconds = take_pod<double>(bytes, pos, body);
-    if (version >= 2) {
-      o.algebra = static_cast<semiring::Algebra>(
-          take_pod<std::uint8_t>(bytes, pos, body));
-      o.log_z = take_pod<double>(bytes, pos, body);
-    }
-    state.completed.push_back(std::move(o));
+    state.completed.push_back(
+        codec::take_outcome(bytes, pos, body, version >= 2));
   }
   if (pos != body) {
     throw core::SerializeError("trailing bytes in batch state");

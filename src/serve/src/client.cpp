@@ -15,25 +15,6 @@
 #include <thread>
 
 namespace rri::serve {
-namespace {
-
-bool send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 DaemonClient::~DaemonClient() { close(); }
 

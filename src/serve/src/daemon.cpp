@@ -13,10 +13,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "rri/core/bppart.hpp"
-#include "rri/core/crc32.hpp"
+#include "codec.hpp"
 #include "rri/core/simd/maxplus_simd.hpp"
-#include "rri/harness/timing.hpp"
 #include "rri/obs/json.hpp"
 #include "rri/obs/obs.hpp"
 #include "rri/serve/scheduler.hpp"
@@ -51,26 +49,45 @@ void arm_reset(int fd) {
   ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
 }
 
-bool send_all(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
+/// A listening TCP socket on host:port (port 0 = ephemeral); `bound`
+/// receives the port actually bound. Errors name the failing call,
+/// prefixed with `what`.
+int listen_tcp(const std::string& host, int port, int backlog,
+               const std::string& what, int* bound) {
+  int fd = -1;
+  const auto fail = [&](const std::string& call) {
+    const int err = errno;
+    if (fd >= 0) {
+      ::close(fd);
     }
-    off += static_cast<std::size_t>(n);
+    throw std::runtime_error(what + call + ": " + std::strerror(err));
+  };
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    throw std::runtime_error("rri_served: bad host \"" + host +
+                             "\" (expected a dotted-quad address)");
   }
-  return true;
-}
-
-std::string fmt_key(std::uint32_t key) {
-  char buffer[16];
-  std::snprintf(buffer, sizeof(buffer), "%08x", key);
-  return buffer;
+  fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    fail("socket()");
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    fail("bind(" + host + ":" + std::to_string(port) + ")");
+  }
+  if (::listen(fd, backlog) != 0) {
+    fail("listen()");
+  }
+  socklen_t len = sizeof(addr);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    fail("getsockname()");
+  }
+  *bound = static_cast<int>(ntohs(addr.sin_port));
+  return fd;
 }
 
 std::string ok_head(const char* op) {
@@ -109,29 +126,13 @@ std::string slo_json(const std::vector<obs::SloStatus>& statuses) {
   return out;
 }
 
-/// The outcome fields exactly as manifest.cpp's write_result_line emits
-/// them, so rri_client can reproduce bpmax_batch's output byte for byte.
-std::string outcome_fields(const JobOutcome& o) {
-  char buffer[64];
-  std::string out = ",\"key\":\"" + fmt_key(o.key) + "\",\"m\":" +
-                    std::to_string(o.m) + ",\"n\":" + std::to_string(o.n);
-  if (o.algebra != semiring::Algebra::kTropical) {
-    std::snprintf(buffer, sizeof(buffer), "%.17g", o.log_z);
-    out += ",\"algebra\":\"";
-    out += semiring::algebra_name(o.algebra);
-    out += "\",\"log_z\":";
-    out += buffer;
-  }
-  std::snprintf(buffer, sizeof(buffer), "%.9g",
-                static_cast<double>(o.score));
-  out += ",\"score\":";
-  out += buffer;
-  out += ",\"cache_hit\":";
-  out += o.cache_hit ? "true" : "false";
-  std::snprintf(buffer, sizeof(buffer), "%.6f", o.seconds);
-  out += ",\"seconds\":";
-  out += buffer;
-  return out;
+/// The per-state tallies of the status and stats verbs.
+std::string job_counts_json(const JobCounts& c) {
+  return "\"queued\":" + std::to_string(c.queued) +
+         ",\"running\":" + std::to_string(c.running) +
+         ",\"done\":" + std::to_string(c.done) +
+         ",\"failed\":" + std::to_string(c.failed) +
+         ",\"cancelled\":" + std::to_string(c.cancelled);
 }
 
 }  // namespace
@@ -149,12 +150,13 @@ struct Daemon::Connection {
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
       store_(config_.journal_store),
-      cache_(config_.cache_bytes),
-      queue_(config_.queue_capacity > 0
-                 ? config_.queue_capacity
-                 : std::max<std::size_t>(
-                       64, 4 * static_cast<std::size_t>(
-                               std::max(1, config_.workers)))),
+      runtime_(config_.kernel_threads, config_.variant, config_.tile,
+               config_.cache_bytes,
+               config_.queue_capacity > 0
+                   ? config_.queue_capacity
+                   : std::max<std::size_t>(
+                         64, 4 * static_cast<std::size_t>(
+                                 std::max(1, config_.workers)))),
       governor_(config_.tenant_config) {
   config_.workers = std::max(1, config_.workers);
 }
@@ -209,65 +211,10 @@ int Daemon::start() {
   stats_.jobs_requeued = requeued.size();
   requeued_ = requeued;
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error(std::string("socket(): ") +
-                             std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("rri_served: bad host \"" + config_.host +
-                             "\" (expected a dotted-quad address)");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    throw std::runtime_error("bind(" + config_.host + ":" +
-                             std::to_string(config_.port) +
-                             "): " + std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    throw std::runtime_error(std::string("listen(): ") +
-                             std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &len) != 0) {
-    throw std::runtime_error(std::string("getsockname(): ") +
-                             std::strerror(errno));
-  }
-  port_ = static_cast<int>(ntohs(bound.sin_port));
-
+  listen_fd_ = listen_tcp(config_.host, config_.port, 64, "", &port_);
   if (config_.metrics_port >= 0) {
-    metrics_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (metrics_fd_ < 0) {
-      throw std::runtime_error(std::string("metrics socket(): ") +
-                               std::strerror(errno));
-    }
-    ::setsockopt(metrics_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in maddr{};
-    maddr.sin_family = AF_INET;
-    maddr.sin_port = htons(static_cast<std::uint16_t>(config_.metrics_port));
-    ::inet_pton(AF_INET, config_.host.c_str(), &maddr.sin_addr);
-    if (::bind(metrics_fd_, reinterpret_cast<const sockaddr*>(&maddr),
-               sizeof(maddr)) != 0 ||
-        ::listen(metrics_fd_, 16) != 0) {
-      throw std::runtime_error("metrics bind(" + config_.host + ":" +
-                               std::to_string(config_.metrics_port) +
-                               "): " + std::strerror(errno));
-    }
-    sockaddr_in mbound{};
-    socklen_t mlen = sizeof(mbound);
-    if (::getsockname(metrics_fd_, reinterpret_cast<sockaddr*>(&mbound),
-                      &mlen) != 0) {
-      throw std::runtime_error(std::string("metrics getsockname(): ") +
-                               std::strerror(errno));
-    }
-    metrics_port_ = static_cast<int>(ntohs(mbound.sin_port));
+    metrics_fd_ = listen_tcp(config_.host, config_.metrics_port, 16,
+                             "metrics ", &metrics_port_);
   }
   return port_;
 }
@@ -280,6 +227,7 @@ DaemonStats Daemon::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   DaemonStats out = stats_;
   out.jobs = store_.counts();
+  out.jobs_executed = runtime_.computed();
   out.interrupted = interrupted_.load();
   return out;
 }
@@ -332,9 +280,11 @@ bool Daemon::shed_if_expired_locked(const std::string& id) {
 
 void Daemon::run() {
   started_at_ = std::chrono::steady_clock::now();
-  for (int w = 0; w < config_.workers; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
-  }
+  runtime_.start(
+      config_.workers, [this](Runtime::Handle h) { return claim(h); },
+      [this](Runtime::Handle, const JobOutcome& o, const std::string& e) {
+        return settle(o, e);
+      });
   // The telemetry tick always runs (it keeps the runtime gauges and
   // SLO states live for stats/metrics/slo verbs); the HTTP scrape loop
   // only when a metrics port was requested.
@@ -347,6 +297,7 @@ void Daemon::run() {
   // (not admit()) re-accounts the in-flight budgets without a token
   // draw — a restart must not rate-penalize recovered work.
   for (const std::string& id : requeued_) {
+    Runtime::Handle handle = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       const StoredJob* stored = store_.find(id);
@@ -358,11 +309,12 @@ void Daemon::run() {
       const double table_bytes = job_table_bytes(job);
       record_admission_locked(job, table_bytes);
       governor_.adopt(job.tenant, table_bytes, mono_now_s());
+      handle = handle_for_locked(id);
     }
     // push() may block (backpressure) or fail once the queue is closed
     // by drain/interrupt; a false return is fine — the job is journaled
     // as queued and the drain pass (or the next restart) finishes it.
-    queue_.push(id);
+    runtime_.push(handle);
   }
   requeued_.clear();
 
@@ -376,11 +328,7 @@ void Daemon::run() {
   if (metrics_thread_.joinable()) {
     metrics_thread_.join();
   }
-  queue_.close();
-  for (std::thread& t : workers_) {
-    t.join();
-  }
-  workers_.clear();
+  runtime_.join();
   // Whatever is still queued (a submit that raced queue close, or a
   // backlog beyond fail_after) is finished inline — drain means "every
   // accepted job reaches a terminal state before exit". The interrupted
@@ -411,25 +359,7 @@ void Daemon::run() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  const double uptime =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_at_)
-          .count();
-  obs::set_counter("serve.daemon.uptime_s", uptime);
-  obs::set_counter("serve.daemon.workers",
-                   static_cast<double>(config_.workers));
-  // Per-tenant tallies become counters so perf_diff can compare runs;
-  // the anonymous tenant reports as "anonymous".
-  for (const auto& [name, usage] : governor_.usage()) {
-    const std::string prefix =
-        "serve.tenant." + (name.empty() ? std::string("anonymous") : name);
-    obs::set_counter((prefix + ".admitted").c_str(),
-                     static_cast<double>(usage.admitted));
-    obs::set_counter((prefix + ".rejected").c_str(),
-                     static_cast<double>(usage.rejected));
-    obs::set_counter((prefix + ".finished").c_str(),
-                     static_cast<double>(usage.finished));
-  }
+  publish_runtime_gauges();
 }
 
 void Daemon::accept_loop() {
@@ -469,32 +399,11 @@ bool Daemon::send_frame(Connection* conn, const std::string& payload) {
   const int fd = conn->fd.load();
   std::string bytes = encode_frame(payload);
   if (!config_.chaos.empty()) {
-    if (const int ms = config_.chaos.draw_stall_ms()) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.chaos_events;
-      }
-      RRI_OBS_COUNTER("serve.daemon.chaos_stalls", 1);
-      trace::instant("daemon.chaos_stall");
-      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    }
-    if (config_.chaos.draw_reset()) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.chaos_events;
-      }
-      RRI_OBS_COUNTER("serve.daemon.chaos_resets", 1);
-      trace::instant("daemon.chaos_reset");
-      arm_reset(fd);  // the close at the end of handle_connection RSTs
-      return false;
+    if (chaos_stall_or_reset(fd)) {
+      return false;  // the close at the end of handle_connection RSTs
     }
     if (config_.chaos.draw_split() && bytes.size() > 1) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.chaos_events;
-      }
-      RRI_OBS_COUNTER("serve.daemon.chaos_splits", 1);
-      trace::instant("daemon.chaos_split");
+      note_chaos("serve.daemon.chaos_splits", "daemon.chaos_split");
       const std::size_t cut = bytes.size() / 2;
       if (!send_all(fd, bytes.substr(0, cut))) {
         return false;
@@ -504,6 +413,28 @@ bool Daemon::send_frame(Connection* conn, const std::string& payload) {
     }
   }
   return send_all(fd, bytes);
+}
+
+void Daemon::note_chaos(const char* counter, const char* event) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.chaos_events;
+  }
+  RRI_OBS_COUNTER(counter, 1);
+  trace::instant(event);
+}
+
+bool Daemon::chaos_stall_or_reset(int fd) {
+  if (const int ms = config_.chaos.draw_stall_ms()) {
+    note_chaos("serve.daemon.chaos_stalls", "daemon.chaos_stall");
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+  }
+  if (!config_.chaos.draw_reset()) {
+    return false;
+  }
+  note_chaos("serve.daemon.chaos_resets", "daemon.chaos_reset");
+  arm_reset(fd);
+  return true;
 }
 
 void Daemon::handle_connection(Connection* conn) {
@@ -550,27 +481,9 @@ void Daemon::handle_connection(Connection* conn) {
       }
       continue;
     }
-    if (!config_.chaos.empty()) {
-      // Read-side chaos mirrors a flaky network in front of the daemon.
-      if (const int ms = config_.chaos.draw_stall_ms()) {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.chaos_events;
-        }
-        RRI_OBS_COUNTER("serve.daemon.chaos_stalls", 1);
-        trace::instant("daemon.chaos_stall");
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-      }
-      if (config_.chaos.draw_reset()) {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          ++stats_.chaos_events;
-        }
-        RRI_OBS_COUNTER("serve.daemon.chaos_resets", 1);
-        trace::instant("daemon.chaos_reset");
-        arm_reset(fd);
-        break;
-      }
+    // Read-side chaos mirrors a flaky network in front of the daemon.
+    if (!config_.chaos.empty() && chaos_stall_or_reset(fd)) {
+      break;
     }
     ssize_t n = 0;
     {
@@ -659,13 +572,8 @@ std::string Daemon::handle_request(const Request& req, bool* drain_out) {
                job_state_name(stored->state) + "\"}\n";
       }
       const JobCounts c = store_.counts();
-      return ok_head("status") + ",\"jobs\":{\"queued\":" +
-             std::to_string(c.queued) + ",\"running\":" +
-             std::to_string(c.running) + ",\"done\":" +
-             std::to_string(c.done) + ",\"failed\":" +
-             std::to_string(c.failed) + ",\"cancelled\":" +
-             std::to_string(c.cancelled) + ",\"total\":" +
-             std::to_string(c.total()) + "}}\n";
+      return ok_head("status") + ",\"jobs\":{" + job_counts_json(c) +
+             ",\"total\":" + std::to_string(c.total()) + "}}\n";
     }
     case Verb::kCancel: {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -696,13 +604,9 @@ std::string Daemon::handle_request(const Request& req, bool* drain_out) {
              std::to_string(c.queued + c.running) + "}\n";
     }
     case Verb::kStats: {
-      const double uptime =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started_at_)
-              .count();
-      const auto cache_stats = cache_.stats();
+      const double uptime = uptime_s();
+      const auto cache_stats = runtime_.cache().stats();
       std::lock_guard<std::mutex> lock(mutex_);
-      const JobCounts c = store_.counts();
       char buffer[32];
       std::snprintf(buffer, sizeof(buffer), "%.3f", uptime);
       std::string out = ok_head("stats");
@@ -711,21 +615,17 @@ std::string Daemon::handle_request(const Request& req, bool* drain_out) {
       out += ",\"workers\":" + std::to_string(config_.workers);
       out += ",\"connections\":" + std::to_string(stats_.connections);
       out += ",\"frames\":" + std::to_string(stats_.frames);
-      out += ",\"jobs\":{\"queued\":" + std::to_string(c.queued) +
-             ",\"running\":" + std::to_string(c.running) + ",\"done\":" +
-             std::to_string(c.done) + ",\"failed\":" +
-             std::to_string(c.failed) + ",\"cancelled\":" +
-             std::to_string(c.cancelled) + "}";
+      out += ",\"jobs\":{" + job_counts_json(store_.counts()) + "}";
       out += ",\"submitted\":" + std::to_string(stats_.jobs_submitted);
       out += ",\"rejected\":" + std::to_string(stats_.jobs_rejected);
-      out += ",\"executed\":" + std::to_string(stats_.jobs_executed);
+      out += ",\"executed\":" + std::to_string(runtime_.computed());
       out += ",\"replayed\":" + std::to_string(stats_.jobs_replayed);
       out += ",\"requeued\":" + std::to_string(stats_.jobs_requeued);
       out += ",\"cache\":{\"hits\":" + std::to_string(cache_stats.hits) +
              ",\"misses\":" + std::to_string(cache_stats.misses) +
              ",\"entries\":" + std::to_string(cache_stats.entries) +
              ",\"bytes\":" + std::to_string(cache_stats.bytes_in_use) + "}";
-      out += ",\"queue_depth\":" + std::to_string(queue_.depth());
+      out += ",\"queue_depth\":" + std::to_string(runtime_.queue_depth());
       out += ",\"shed\":{\"quota\":" +
              std::to_string(stats_.quota_rejections) + ",\"overload\":" +
              std::to_string(stats_.shed_overload) + ",\"deadline\":" +
@@ -787,6 +687,7 @@ std::string Daemon::handle_request(const Request& req, bool* drain_out) {
 
 std::string Daemon::submit_response(const Request& req) {
   const double table_bytes = job_table_bytes(req.job);
+  Runtime::Handle handle = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (draining_.load()) {
@@ -833,7 +734,7 @@ std::string Daemon::submit_response(const Request& req) {
     // already saturated, so refuse fast with a hint scaled to how much
     // backlog each worker holds, instead of stacking blocked submits
     // behind the queue's backpressure.
-    const std::size_t depth = queue_.depth();
+    const std::size_t depth = runtime_.queue_depth();
     if (config_.shed_queue_depth > 0 && depth >= config_.shed_queue_depth) {
       ++stats_.shed_overload;
       RRI_OBS_COUNTER("serve.daemon.shed_overload", 1);
@@ -864,16 +765,17 @@ std::string Daemon::submit_response(const Request& req) {
     }
     store_.submit(req.job);  // journaled before the ack below
     record_admission_locked(req.job, table_bytes);
+    handle = handle_for_locked(req.id);
     ++stats_.jobs_submitted;
     RRI_OBS_COUNTER("serve.daemon.jobs_submitted", 1);
   }
   // push() may block (backpressure) or fail once the queue is closed by
   // drain/interrupt; a false return is fine — the job is journaled as
   // queued and the drain pass (or the next restart) finishes it.
-  queue_.push(req.id);
+  runtime_.push(handle);
   return ok_head("submit") + ",\"id\":\"" + obs::json_escape(req.id) +
-         "\",\"state\":\"queued\",\"key\":\"" + fmt_key(job_key(req.job)) +
-         "\"}\n";
+         "\",\"state\":\"queued\",\"key\":\"" +
+         codec::key_hex(job_key(req.job)) + "\"}\n";
 }
 
 std::string Daemon::result_response(const Request& req) {
@@ -897,7 +799,7 @@ std::string Daemon::result_response(const Request& req) {
   switch (stored->state) {
     case JobState::kDone:
       return ok_head("result") + ",\"id\":\"" + obs::json_escape(req.id) +
-             "\"" + outcome_fields(stored->outcome) +
+             "\"," + codec::result_fields(stored->outcome) +
              ",\"state\":\"done\"}\n";
     case JobState::kFailed:
       // Deadline sheds are failures with a dedicated code so a client
@@ -921,133 +823,65 @@ std::string Daemon::result_response(const Request& req) {
   return error_payload("result", req.id, "bad_request", "unreachable");
 }
 
-JobOutcome Daemon::execute(const Job& job) {
-  JobOutcome o;
-  o.id = job.id;
-  const std::string key_text = job_key_text(job);
-  o.key = core::crc32(key_text.data(), key_text.size());
-  o.m = static_cast<int>(job.s1.size());
-  o.n = static_cast<int>(job.s2.size());
-  harness::StopWatch sw;
-  RRI_OBS_PHASE(obs::Phase::kServe);
-  o.algebra = job.params.algebra;
-  const bool lse = o.algebra == semiring::Algebra::kLogSumExp;
-  const auto hit = cache_.get(o.key, key_text);
-  if (hit.has_value()) {
-    if (lse) {
-      o.log_z = *hit;
-    }
-    o.score = static_cast<float>(*hit);
-    o.cache_hit = true;
-    o.seconds = 0.0;
-    return o;
-  }
-  const rna::Sequence s2 =
-      job.params.reverse ? job.s2.reversed() : job.s2;
-  double value;
-  if (lse) {
-    core::BppartOptions popt;
-    popt.temperature = job.params.temperature;
-    popt.variant = config_.kernel_threads > 1
-                       ? core::BppartVariant::kRowParallel
-                       : core::BppartVariant::kSerial;
-    popt.tile = config_.tile;
-    popt.num_threads = config_.kernel_threads;
-    value = core::bppart_log_z(job.s1, s2, job.params.model(), popt);
-    o.log_z = value;
-    o.score = static_cast<float>(value);
-  } else {
-    core::BpmaxOptions opts;
-    opts.variant = config_.variant;
-    opts.tile = config_.tile;
-    opts.num_threads = config_.kernel_threads;
-    o.score = core::bpmax_score(job.s1, s2, job.params.model(), opts);
-    value = static_cast<double>(o.score);
-  }
-  o.seconds = sw.seconds();
-  cache_.put(o.key, key_text, value);
-  RRI_OBS_COUNTER("serve.jobs_computed", 1);
-  return o;
+Runtime::Handle Daemon::handle_for_locked(const std::string& id) {
+  handle_ids_.emplace(next_handle_, id);
+  return next_handle_++;
 }
 
-void Daemon::worker_loop(int worker_id) {
-  RRI_TRACE_LANE(trace::kProcServe, worker_id);
-  for (;;) {
-    std::optional<std::string> popped;
-    {
-      RRI_TRACE_SPAN("serve.wait");
-      popped = queue_.pop();
-    }
-    if (!popped.has_value()) {
-      return;
-    }
-    if (interrupted_.load()) {
-      continue;  // drain the queue without executing (fail_after hook)
-    }
-    const std::string id = *popped;
-    Job job;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto admitted_it = admitted_.find(id);
-      if (admitted_it != admitted_.end()) {
-        const double waited =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          admitted_it->second.at)
-                .count();
-        RRI_OBS_LATENCY("serve.queue_wait_s", waited);
-        if (!admitted_it->second.tenant.empty()) {
-          obs::record_latency(("serve.queue_wait_s.tenant." +
-                               admitted_it->second.tenant)
-                                  .c_str(),
-                              waited);
-        }
-      }
-      // Deadline shed at dequeue: a job that expired while queued is
-      // failed here instead of burning a worker on an answer nobody is
-      // waiting for anymore.
-      if (shed_if_expired_locked(id)) {
-        ++finished_this_run_;
-        terminal_cv_.notify_all();
-        continue;
-      }
-      if (!store_.mark_running(id)) {
-        continue;  // cancelled (or otherwise settled) while queued
-      }
-      job = store_.find(id)->job;
-    }
-    RRI_TRACE_SPAN("serve.execute");
-    harness::StopWatch sw;
-    JobOutcome outcome;
-    std::string error;
-    try {
-      outcome = execute(job);
-    } catch (const std::exception& e) {
-      error = e.what();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (error.empty()) {
-        store_.mark_done(id, outcome);
-        ++stats_.jobs_executed;
-      } else {
-        store_.mark_failed(id, error);
-        RRI_OBS_COUNTER("serve.daemon.jobs_failed", 1);
-      }
-      release_admission_locked(id);
-      ++finished_this_run_;
-      if (config_.fail_after >= 0 &&
-          finished_this_run_ >=
-              static_cast<std::size_t>(config_.fail_after)) {
-        interrupted_.store(true);
-      }
-    }
-    RRI_OBS_COUNTER("serve.jobs_served", 1);
-    RRI_OBS_LATENCY("serve.execute_s", sw.seconds());
-    terminal_cv_.notify_all();
-    if (interrupted_.load()) {
-      queue_.close();
+std::optional<Job> Daemon::claim(Runtime::Handle handle) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto handle_it = handle_ids_.find(handle);
+  const std::string id = std::move(handle_it->second);
+  handle_ids_.erase(handle_it);
+  if (interrupted_.load()) {
+    return std::nullopt;  // drain the queue without executing (fail_after)
+  }
+  const auto admitted_it = admitted_.find(id);
+  if (admitted_it != admitted_.end()) {
+    const double waited =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      admitted_it->second.at)
+            .count();
+    RRI_OBS_LATENCY("serve.queue_wait_s", waited);
+    if (!admitted_it->second.tenant.empty()) {
+      obs::record_latency(
+          ("serve.queue_wait_s.tenant." + admitted_it->second.tenant).c_str(),
+          waited);
     }
   }
+  // Deadline shed at dequeue: a job that expired while queued is failed
+  // here instead of burning a worker on an answer nobody is waiting for
+  // anymore.
+  if (shed_if_expired_locked(id)) {
+    ++finished_this_run_;
+    terminal_cv_.notify_all();
+    return std::nullopt;
+  }
+  if (!store_.mark_running(id)) {
+    return std::nullopt;  // cancelled (or otherwise settled) while queued
+  }
+  return store_.find(id)->job;
+}
+
+bool Daemon::settle(const JobOutcome& outcome, const std::string& error) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (error.empty()) {
+      store_.mark_done(outcome.id, outcome);
+    } else {
+      store_.mark_failed(outcome.id, error);
+      RRI_OBS_COUNTER("serve.daemon.jobs_failed", 1);
+    }
+    release_admission_locked(outcome.id);
+    ++finished_this_run_;
+    if (config_.fail_after >= 0 &&
+        finished_this_run_ >= static_cast<std::size_t>(config_.fail_after)) {
+      interrupted_.store(true);
+    }
+  }
+  RRI_OBS_COUNTER("serve.jobs_served", 1);
+  terminal_cv_.notify_all();
+  return interrupted_.load();
 }
 
 double Daemon::uptime_s() const {
@@ -1061,7 +895,7 @@ void Daemon::publish_runtime_gauges() {
   obs::set_counter("serve.daemon.workers",
                    static_cast<double>(config_.workers));
   obs::set_counter("serve.daemon.queue_depth",
-                   static_cast<double>(queue_.depth()));
+                   static_cast<double>(runtime_.queue_depth()));
   // Per-tenant tallies: the same gauges the shutdown path writes, kept
   // live so a scrape mid-run sees current numbers (acceptance criterion
   // for the telemetry-smoke job).
@@ -1168,52 +1002,20 @@ void Daemon::metrics_loop() {
 }
 
 void Daemon::finish_remaining_inline() {
-  // Post-drain sweep: the store, not the queue, is the source of truth
-  // for accepted work. Loop until nothing is left queued.
+  // The store, not the queue, is the source of truth for accepted work:
+  // run its oldest queued job until none is left (claim sheds expired
+  // ones; deadlines hold through a drain too).
   for (;;) {
-    Job job;
+    Runtime::Handle handle = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      const JobCounts c = store_.counts();
-      if (c.queued == 0) {
+      const std::vector<std::string> queued = store_.queued_ids();
+      if (queued.empty() || interrupted_.load()) {
         return;
       }
-      bool found = false;
-      for (const auto& id : store_.queued_ids()) {
-        if (shed_if_expired_locked(id)) {
-          ++finished_this_run_;
-          continue;  // deadlines hold through a drain sweep too
-        }
-        if (store_.mark_running(id)) {
-          job = store_.find(id)->job;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        terminal_cv_.notify_all();
-        return;
-      }
+      handle = handle_for_locked(queued.front());
     }
-    JobOutcome outcome;
-    std::string error;
-    try {
-      outcome = execute(job);
-    } catch (const std::exception& e) {
-      error = e.what();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (error.empty()) {
-        store_.mark_done(job.id, outcome);
-        ++stats_.jobs_executed;
-      } else {
-        store_.mark_failed(job.id, error);
-      }
-      release_admission_locked(job.id);
-      ++finished_this_run_;
-    }
-    terminal_cv_.notify_all();
+    runtime_.run_one(handle);
   }
 }
 

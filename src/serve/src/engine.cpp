@@ -1,31 +1,25 @@
 #include "rri/serve/engine.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "rri/core/bppart.hpp"
 #include "rri/core/crc32.hpp"
-#include "rri/harness/timing.hpp"
 #include "rri/obs/obs.hpp"
-#include "rri/trace/trace.hpp"
 #include "rri/serve/batch_state.hpp"
-#include "rri/serve/cache.hpp"
-#include "rri/serve/queue.hpp"
+#include "rri/serve/runtime.hpp"
 #include "rri/serve/scheduler.hpp"
 
 namespace rri::serve {
 namespace {
 
 /// In-batch duplicate coalescing (single-flight): only the first job of
-/// a key group to be popped runs the kernel; duplicates that arrive
+/// a key group to be claimed runs the kernel; duplicates that arrive
 /// while it is in flight park in `pending` and are served by the
 /// primary's worker the moment it records — so a duplicate's cache_hit
 /// flag never depends on scheduling luck.
@@ -46,10 +40,10 @@ struct BatchRun {
   std::vector<JobOutcome> completed;  ///< completion order (checkpointed)
   std::uint32_t digest = 0;
   std::size_t served_this_run = 0;   ///< excludes resumed + rejected
-  std::size_t computed = 0;
   std::size_t resumed = 0;
   std::size_t checkpoints_written = 0;
-  std::atomic<bool> interrupted{false};
+  std::atomic<bool> interrupted{false};  ///< max_jobs reached, or `error`
+  std::string error;  ///< set when a kernel error stopped the batch
 };
 
 void checkpoint_locked(BatchRun& run, const EngineConfig& config) {
@@ -91,7 +85,11 @@ BatchResult run_batch(const std::vector<Job>& jobs,
   run.have.assign(jobs.size(), 0);
   run.digest = manifest_digest(jobs);
 
-  ResultCache cache(config.cache_bytes);
+  Runtime runtime(config.kernel_threads, config.variant, config.tile,
+                  config.cache_bytes,
+                  config.queue_capacity > 0
+                      ? config.queue_capacity
+                      : 2 * static_cast<std::size_t>(workers));
 
   // Rejected jobs resolve at plan time: a clear per-job error instead of
   // an OOM kill mid-batch. Deterministic, so never checkpointed.
@@ -140,7 +138,7 @@ BatchResult run_batch(const std::vector<Job>& jobs,
         run.completed.push_back(o);
         run.groups[key_texts[i]].done = true;
         if (!o.rejected) {
-          cache.put(keys[i], key_texts[i],
+          runtime.cache().put(keys[i], key_texts[i],
                     o.algebra == semiring::Algebra::kLogSumExp
                         ? o.log_z
                         : static_cast<double>(o.score));
@@ -150,12 +148,6 @@ BatchResult run_batch(const std::vector<Job>& jobs,
       RRI_OBS_COUNTER("serve.jobs_resumed", static_cast<double>(run.resumed));
     }
   }
-
-  const std::size_t queue_capacity =
-      config.queue_capacity > 0
-          ? config.queue_capacity
-          : 2 * static_cast<std::size_t>(workers);
-  BoundedQueue<std::size_t> queue(queue_capacity);
 
   // Record one finished outcome, serve any duplicates parked on its key
   // group, checkpoint on cadence, and fire the interruption hook. Runs
@@ -183,14 +175,11 @@ BatchResult run_batch(const std::vector<Job>& jobs,
           if (cadence || limit_hit) {
             checkpoint_locked(run, config);
           }
-          if (limit_hit && !run.interrupted.load()) {
+          if (limit_hit) {
             run.interrupted.store(true);
           }
         }
         RRI_OBS_COUNTER("serve.jobs_served", 1);
-        if (run.interrupted.load()) {
-          queue.close();
-        }
         // Serve parked duplicates from the cache the primary just
         // filled; with the cache disabled (or the entry evicted) they
         // fall back to the primary's score — memoized either way, but
@@ -202,7 +191,7 @@ BatchResult run_batch(const std::vector<Job>& jobs,
           o.m = outcome.m;
           o.n = outcome.n;
           o.algebra = jobs[dup].params.algebra;
-          const auto hit = cache.get(keys[dup], key_texts[dup]);
+          const auto hit = runtime.cache().get(keys[dup], key_texts[dup]);
           if (o.algebra == semiring::Algebra::kLogSumExp) {
             o.log_z = hit.value_or(outcome.log_z);
             o.score = static_cast<float>(o.log_z);
@@ -211,7 +200,6 @@ BatchResult run_batch(const std::vector<Job>& jobs,
                 hit.value_or(static_cast<double>(outcome.score)));
           }
           o.cache_hit = hit.has_value();
-          o.seconds = 0.0;
           record(dup, std::move(o));
         }
       };
@@ -220,111 +208,46 @@ BatchResult run_batch(const std::vector<Job>& jobs,
   // queue's mutex orders the stamp before the matching pop.
   std::vector<std::chrono::steady_clock::time_point> admitted(jobs.size());
 
-  std::vector<double> busy_out(static_cast<std::size_t>(workers), 0.0);
-  const auto worker_loop = [&](int worker_id) {
-    // Every event of this worker thread lands on its own serve lane:
-    // the idle gaps between "serve.wait" and "serve.execute" spans are
-    // the queue starvation the schedule is supposed to avoid.
-    RRI_TRACE_LANE(trace::kProcServe, worker_id);
-    double busy = 0.0;
-    for (;;) {
-      std::optional<std::size_t> popped;
-      {
-        RRI_TRACE_SPAN("serve.wait");
-        popped = queue.pop();
-      }
-      if (!popped.has_value()) {
-        break;
-      }
-      if (run.interrupted.load()) {
-        continue;  // drain without executing
-      }
-      const std::size_t i = *popped;
-      RRI_TRACE_SPAN("serve.execute");
-      RRI_OBS_LATENCY("serve.queue_wait_s",
-                      std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - admitted[i])
-                          .count());
-      harness::StopWatch sw;
-      RRI_OBS_PHASE(obs::Phase::kServe);
-      {
-        std::lock_guard<std::mutex> lock(run.mutex);
-        if (run.have[i]) {
-          continue;
-        }
-        Group& group = run.groups[key_texts[i]];
-        if (!group.done && group.in_flight) {
-          group.pending.push_back(i);  // coalesce onto the primary
-          continue;
-        }
-        if (!group.done) {
-          group.in_flight = true;
-        }
-        // A done group means the key was already computed (a resumed
-        // job, or a duplicate popped after its primary): the cache
-        // probe below serves it.
-      }
-      JobOutcome o;
-      o.id = jobs[i].id;
-      o.key = keys[i];
-      o.m = static_cast<int>(jobs[i].s1.size());
-      o.n = static_cast<int>(jobs[i].s2.size());
-      o.algebra = jobs[i].params.algebra;
-      const bool lse = o.algebra == semiring::Algebra::kLogSumExp;
-      const auto hit = cache.get(keys[i], key_texts[i]);
-      if (hit.has_value()) {
-        if (lse) {
-          o.log_z = *hit;
-        }
-        o.score = static_cast<float>(*hit);
-        o.cache_hit = true;
-        o.seconds = 0.0;
-      } else {
-        const rna::Sequence s2 =
-            jobs[i].params.reverse ? jobs[i].s2.reversed() : jobs[i].s2;
-        double value;
-        if (lse) {
-          core::BppartOptions popt;
-          popt.temperature = jobs[i].params.temperature;
-          popt.variant = config.kernel_threads > 1
-                             ? core::BppartVariant::kRowParallel
-                             : core::BppartVariant::kSerial;
-          popt.tile = config.tile;
-          popt.num_threads = config.kernel_threads;
-          value = core::bppart_log_z(jobs[i].s1, s2,
-                                     jobs[i].params.model(), popt);
-          o.log_z = value;
-          o.score = static_cast<float>(value);
-        } else {
-          core::BpmaxOptions opts;
-          opts.variant = config.variant;
-          opts.tile = config.tile;
-          opts.num_threads = config.kernel_threads;
-          o.score = core::bpmax_score(jobs[i].s1, s2,
-                                      jobs[i].params.model(), opts);
-          value = static_cast<double>(o.score);
-        }
-        o.seconds = sw.seconds();
-        {
-          std::lock_guard<std::mutex> lock(run.mutex);
-          ++run.computed;
-        }
-        RRI_OBS_COUNTER("serve.jobs_computed", 1);
-        cache.put(keys[i], key_texts[i], value);
-      }
-      record(i, std::move(o));
-      const double spent = sw.seconds();
-      RRI_OBS_LATENCY("serve.execute_s", spent);
-      busy += spent;
+  // Single flight: the first job of a key group to be claimed runs; a
+  // duplicate claimed while it is in flight parks on the group. A done
+  // group means the key was already computed (a resumed job, or a
+  // duplicate claimed after its primary), and execute's cache probe
+  // serves it.
+  const auto claim = [&](std::size_t i) -> std::optional<Job> {
+    if (run.interrupted.load()) {
+      return std::nullopt;  // drain without executing
     }
-    busy_out[static_cast<std::size_t>(worker_id)] = busy;
+    RRI_OBS_LATENCY("serve.queue_wait_s",
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - admitted[i])
+                        .count());
+    std::lock_guard<std::mutex> lock(run.mutex);
+    if (run.have[i]) {
+      return std::nullopt;
+    }
+    Group& group = run.groups[key_texts[i]];
+    if (!group.done && group.in_flight) {
+      group.pending.push_back(i);
+      return std::nullopt;
+    }
+    if (!group.done) {
+      group.in_flight = true;
+    }
+    return jobs[i];
   };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back(worker_loop, w);
-  }
+  // A kernel error stops the batch; run_batch rethrows it below.
+  const auto settle = [&](std::size_t i, const JobOutcome& o,
+                          const std::string& error) {
+    if (!error.empty()) {
+      std::lock_guard<std::mutex> lock(run.mutex);
+      run.error = "job \"" + o.id + "\": " + error;
+      run.interrupted.store(true);
+      return true;
+    }
+    record(i, o);
+    return run.interrupted.load();
+  };
+  runtime.start(workers, claim, settle);
 
   // Producer: admit planned jobs largest-first through the bounded
   // queue (backpressure); resumed jobs are never re-admitted.
@@ -337,18 +260,18 @@ BatchResult run_batch(const std::vector<Job>& jobs,
       }
     }
     admitted[p.job_index] = std::chrono::steady_clock::now();
-    if (!queue.push(p.job_index)) {
+    if (!runtime.push(p.job_index)) {
       break;  // closed by the interruption hook
     }
     ++queued;
   }
-  queue.close();
-  for (std::thread& t : pool) {
-    t.join();
+  const std::vector<double> busy_out = runtime.join();
+  if (!run.error.empty()) {
+    throw std::runtime_error("batch stopped: " + run.error);
   }
   RRI_OBS_COUNTER("serve.jobs_queued", static_cast<double>(queued));
   RRI_OBS_COUNTER("serve.queue_depth_hwm",
-                  static_cast<double>(queue.high_water()));
+                  static_cast<double>(runtime.queue_high_water()));
 
   // Final checkpoint so a clean finish (or an interruption that landed
   // off-cadence) is fully recoverable.
@@ -362,15 +285,14 @@ BatchResult run_batch(const std::vector<Job>& jobs,
   BatchResult result;
   result.stats.jobs_total = jobs.size();
   result.stats.jobs_served = run.served_this_run;
-  result.stats.jobs_computed = run.computed;
+  result.stats.jobs_computed = runtime.computed();
   result.stats.jobs_resumed = run.resumed;
   result.stats.jobs_rejected = plan.rejected.size();
-  result.stats.queue_high_water = queue.high_water();
+  result.stats.queue_high_water = runtime.queue_high_water();
   result.stats.checkpoints_written = run.checkpoints_written;
   result.stats.interrupted = run.interrupted.load();
   result.stats.worker_busy_seconds = busy_out;
-  const auto cache_stats = cache.stats();
-  result.stats.cache_hits = cache_stats.hits;
+  result.stats.cache_hits = runtime.cache().stats().hits;
   double busy_total = 0.0;
   for (const double b : busy_out) {
     busy_total += b;

@@ -1,14 +1,18 @@
 #include "rri/serve/jobstore.hpp"
 
-#include <cstring>
 #include <utility>
 
+#include "codec.hpp"
 #include "rri/core/crc32.hpp"
-#include "rri/core/serialize.hpp"
 #include "rri/obs/obs.hpp"
 
 namespace rri::serve {
 namespace {
+
+using codec::append_pod;
+using codec::append_string;
+using codec::take_pod;
+using codec::take_string;
 
 constexpr char kMagic[4] = {'R', 'R', 'J', 'L'};
 /// v1: pre-quota journals (no tenant/deadline on submit records).
@@ -16,72 +20,7 @@ constexpr char kMagic[4] = {'R', 'R', 'J', 'L'};
 /// v3: submit records carry the algebra tag + temperature; outcomes
 ///     carry the algebra tag + log_z. Older journals decode with the
 ///     tropical defaults, which is exactly what they computed.
-constexpr std::uint32_t kVersionOldest = 1;
 constexpr std::uint32_t kVersion = 3;
-
-template <typename T>
-void append_pod(std::string& out, const T& value) {
-  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T take_pod(const std::string& bytes, std::size_t& pos, std::size_t end) {
-  if (pos + sizeof(T) > end) {
-    throw core::SerializeError("truncated job journal");
-  }
-  T value{};
-  std::memcpy(&value, bytes.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return value;
-}
-
-void append_string(std::string& out, const std::string& s) {
-  append_pod(out, static_cast<std::uint32_t>(s.size()));
-  out += s;
-}
-
-std::string take_string(const std::string& bytes, std::size_t& pos,
-                        std::size_t end) {
-  const auto len = take_pod<std::uint32_t>(bytes, pos, end);
-  if (pos + len > end) {
-    throw core::SerializeError("truncated job journal");
-  }
-  std::string s = bytes.substr(pos, len);
-  pos += len;
-  return s;
-}
-
-void append_outcome(std::string& out, const JobOutcome& o) {
-  append_string(out, o.id);
-  append_pod(out, o.key);
-  append_pod(out, static_cast<std::int32_t>(o.m));
-  append_pod(out, static_cast<std::int32_t>(o.n));
-  append_pod(out, o.score);
-  append_pod(out, static_cast<std::uint8_t>(o.cache_hit ? 1 : 0));
-  append_pod(out, static_cast<std::uint8_t>(o.rejected ? 1 : 0));
-  append_pod(out, o.seconds);
-  append_pod(out, static_cast<std::uint8_t>(o.algebra));
-  append_pod(out, o.log_z);
-}
-
-JobOutcome take_outcome(const std::string& bytes, std::size_t& pos,
-                        std::size_t end, std::uint32_t version) {
-  JobOutcome o;
-  o.id = take_string(bytes, pos, end);
-  o.key = take_pod<std::uint32_t>(bytes, pos, end);
-  o.m = take_pod<std::int32_t>(bytes, pos, end);
-  o.n = take_pod<std::int32_t>(bytes, pos, end);
-  o.score = take_pod<float>(bytes, pos, end);
-  o.cache_hit = take_pod<std::uint8_t>(bytes, pos, end) != 0;
-  o.rejected = take_pod<std::uint8_t>(bytes, pos, end) != 0;
-  o.seconds = take_pod<double>(bytes, pos, end);
-  if (version >= 3) {
-    o.algebra = static_cast<semiring::Algebra>(
-        take_pod<std::uint8_t>(bytes, pos, end));
-    o.log_z = take_pod<double>(bytes, pos, end);
-  }
-  return o;
-}
 
 }  // namespace
 
@@ -117,7 +56,7 @@ std::string encode_journal(const std::vector<JournalRecord>& records) {
         append_pod(out, r.params.temperature);
         break;
       case JournalRecord::Kind::kDone:
-        append_outcome(out, r.outcome);
+        codec::append_outcome(out, r.outcome);
         break;
       case JournalRecord::Kind::kFailed:
         append_string(out, r.error);
@@ -132,27 +71,10 @@ std::string encode_journal(const std::vector<JournalRecord>& records) {
 }
 
 std::vector<JournalRecord> decode_journal(const std::string& bytes) {
-  if (bytes.size() < sizeof(kMagic) + sizeof(std::uint32_t) ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
-    throw core::SerializeError("not an RRJL job journal (bad magic)");
-  }
-  // Integrity first: everything after this line may trust the bytes.
-  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
-  std::uint32_t footer = 0;
-  std::memcpy(&footer, bytes.data() + body, sizeof(footer));
-  const std::uint32_t computed = core::crc32(bytes.data(), body);
-  if (footer != computed) {
-    throw core::SerializeError(
-        "job journal checksum mismatch (stored CRC32 " +
-        std::to_string(footer) + ", computed " + std::to_string(computed) +
-        ")");
-  }
-  std::size_t pos = sizeof(kMagic);
-  const auto version = take_pod<std::uint32_t>(bytes, pos, body);
-  if (version < kVersionOldest || version > kVersion) {
-    throw core::SerializeError("unsupported RRJL version " +
-                               std::to_string(version));
-  }
+  std::size_t pos = 0;
+  std::size_t body = 0;
+  const std::uint32_t version =
+      codec::open_blob(bytes, kMagic, "job journal", kVersion, pos, body);
   const auto count = take_pod<std::uint32_t>(bytes, pos, body);
   std::vector<JournalRecord> records;
   records.reserve(count);
@@ -184,7 +106,7 @@ std::vector<JournalRecord> decode_journal(const std::string& bytes) {
         }
         break;
       case JournalRecord::Kind::kDone:
-        r.outcome = take_outcome(bytes, pos, body, version);
+        r.outcome = codec::take_outcome(bytes, pos, body, version >= 3);
         break;
       case JournalRecord::Kind::kFailed:
         r.error = take_string(bytes, pos, body);
@@ -265,55 +187,45 @@ void JobStore::append(JournalRecord record) {
   }
 }
 
-StoredJob* JobStore::apply(const JournalRecord& record) {
-  switch (record.kind) {
-    case JournalRecord::Kind::kSubmit: {
-      StoredJob stored;
-      stored.job.id = record.id;
-      stored.job.s1 = rna::Sequence::from_string(record.s1);
-      stored.job.s2 = rna::Sequence::from_string(record.s2);
-      stored.job.params = record.params;
-      stored.job.tenant = record.tenant;
-      stored.job.deadline_s = record.deadline_s;
-      stored.state = JobState::kQueued;
-      auto [it, inserted] = jobs_.emplace(record.id, std::move(stored));
-      if (inserted) {
-        submit_order_.push_back(record.id);
-      }
-      return &it->second;
+void JobStore::apply(const JournalRecord& record) {
+  if (record.kind == JournalRecord::Kind::kSubmit) {
+    StoredJob stored;
+    stored.job.id = record.id;
+    stored.job.s1 = rna::Sequence::from_string(record.s1);
+    stored.job.s2 = rna::Sequence::from_string(record.s2);
+    stored.job.params = record.params;
+    stored.job.tenant = record.tenant;
+    stored.job.deadline_s = record.deadline_s;
+    stored.state = JobState::kQueued;
+    auto [it, inserted] = jobs_.emplace(record.id, std::move(stored));
+    if (inserted) {
+      submit_order_.push_back(record.id);
     }
-    case JournalRecord::Kind::kStart: {
-      auto it = jobs_.find(record.id);
-      if (it != jobs_.end()) {
-        it->second.state = JobState::kRunning;
-      }
-      return it != jobs_.end() ? &it->second : nullptr;
-    }
-    case JournalRecord::Kind::kDone: {
-      auto it = jobs_.find(record.id);
-      if (it != jobs_.end()) {
-        it->second.state = JobState::kDone;
-        it->second.outcome = record.outcome;
-      }
-      return it != jobs_.end() ? &it->second : nullptr;
-    }
-    case JournalRecord::Kind::kFailed: {
-      auto it = jobs_.find(record.id);
-      if (it != jobs_.end()) {
-        it->second.state = JobState::kFailed;
-        it->second.error = record.error;
-      }
-      return it != jobs_.end() ? &it->second : nullptr;
-    }
-    case JournalRecord::Kind::kCancelled: {
-      auto it = jobs_.find(record.id);
-      if (it != jobs_.end()) {
-        it->second.state = JobState::kCancelled;
-      }
-      return it != jobs_.end() ? &it->second : nullptr;
-    }
+    return;
   }
-  return nullptr;
+  const auto it = jobs_.find(record.id);
+  if (it == jobs_.end()) {
+    return;
+  }
+  StoredJob& stored = it->second;
+  switch (record.kind) {
+    case JournalRecord::Kind::kStart:
+      stored.state = JobState::kRunning;
+      break;
+    case JournalRecord::Kind::kDone:
+      stored.state = JobState::kDone;
+      stored.outcome = record.outcome;
+      break;
+    case JournalRecord::Kind::kFailed:
+      stored.state = JobState::kFailed;
+      stored.error = record.error;
+      break;
+    case JournalRecord::Kind::kCancelled:
+      stored.state = JobState::kCancelled;
+      break;
+    case JournalRecord::Kind::kSubmit:
+      break;
+  }
 }
 
 bool JobStore::submit(const Job& job) {

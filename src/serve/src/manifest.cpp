@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 
+#include "codec.hpp"
 #include "rri/obs/json.hpp"
 #include "rri/rna/fasta.hpp"
 
@@ -162,32 +163,8 @@ std::vector<Job> jobs_from_fasta(const std::string& targets_path,
 }
 
 void write_result_line(std::ostream& out, const JobOutcome& outcome) {
-  char buffer[64];
-  out << "{\"id\":\"" << obs::json_escape(outcome.id) << "\",";
-  std::snprintf(buffer, sizeof(buffer), "%08x", outcome.key);
-  out << "\"key\":\"" << buffer << "\",\"m\":" << outcome.m
-      << ",\"n\":" << outcome.n;
-  if (outcome.rejected) {
-    out << ",\"error\":\"rejected: table exceeds the worker memory "
-           "budget\"}\n";
-    return;
-  }
-  // Non-tropical outcomes name their algebra and carry the full-precision
-  // log partition function; "score" stays the float narrowing of log_z so
-  // downstream tooling that only knows "score" keeps working.
-  if (outcome.algebra != semiring::Algebra::kTropical) {
-    std::snprintf(buffer, sizeof(buffer), "%.17g", outcome.log_z);
-    out << ",\"algebra\":\"" << semiring::algebra_name(outcome.algebra)
-        << "\",\"log_z\":" << buffer;
-  }
-  // %.9g round-trips any float exactly; scores are small integers in
-  // practice, so this usually prints "12".
-  std::snprintf(buffer, sizeof(buffer), "%.9g",
-                static_cast<double>(outcome.score));
-  out << ",\"score\":" << buffer
-      << ",\"cache_hit\":" << (outcome.cache_hit ? "true" : "false");
-  std::snprintf(buffer, sizeof(buffer), "%.6f", outcome.seconds);
-  out << ",\"seconds\":" << buffer << "}\n";
+  out << "{\"id\":\"" << obs::json_escape(outcome.id) << "\","
+      << codec::result_fields(outcome) << "}\n";
 }
 
 void write_results(std::ostream& out,

@@ -1,5 +1,8 @@
 #include "rri/serve/protocol.hpp"
 
+#include <sys/socket.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
@@ -23,6 +26,22 @@ void store_be32(std::uint32_t v, char* p) {
 }
 
 }  // namespace
+
+bool send_all(int fd, const std::string& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
+                             MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
 
 std::string encode_frame(const std::string& payload, std::size_t max_frame) {
   if (payload.size() > max_frame) {

@@ -16,6 +16,8 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,9 +26,12 @@
 #include "rri/core/bppart.hpp"
 #include "rri/core/serialize.hpp"
 #include "rri/mpisim/checkpoint.hpp"
+#include "rri/serve/batch_state.hpp"
 #include "rri/serve/client.hpp"
 #include "rri/serve/daemon.hpp"
+#include "rri/serve/engine.hpp"
 #include "rri/serve/jobstore.hpp"
+#include "rri/serve/manifest.hpp"
 #include "rri/serve/scheduler.hpp"
 
 namespace rri::serve {
@@ -748,6 +753,10 @@ TEST(DaemonE2E, MetricsAndSloVerbsServeTelemetry) {
   DaemonConfig config;
   config.slo_config = slo_path;
   RunningDaemon server(config);
+  // The registry is process-global: when the whole suite runs in one
+  // process (the TSan job does), earlier daemons already counted their
+  // jobs. Start this test's count at zero.
+  obs::set_counter("serve.jobs_served", 0.0);
 
   DaemonClient client;
   client.connect("127.0.0.1", server.port);
@@ -848,6 +857,207 @@ TEST(DaemonE2E, MetricsHttpListenerServesScrapes) {
   const std::string missing =
       http_get("GET /nope HTTP/1.0\r\n\r\n");
   EXPECT_NE(missing.find("404"), std::string::npos);
+}
+
+
+// --------------------------------------------------------- wire formats
+//
+// Checked-in encodings of both persisted formats. A change to any byte
+// (field order, width, version gate) fails here before it can strand a
+// journal or a checkpoint already on disk.
+
+std::string to_hex(const std::string& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += digits[c >> 4];
+    out += digits[c & 0xf];
+  }
+  return out;
+}
+
+std::string from_hex(const std::string& hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+  }
+  return out;
+}
+
+JobOutcome pinned_lse_outcome() {
+  JobOutcome o;
+  o.id = "j1";
+  o.key = 0x0BADF00Du;
+  o.m = 9;
+  o.n = 6;
+  o.algebra = semiring::Algebra::kLogSumExp;
+  o.log_z = 20.25;
+  o.score = 20.25f;
+  o.cache_hit = true;
+  o.seconds = 0.5;
+  return o;
+}
+
+TEST(WireFormat, RrjlV3EncodingIsPinned) {
+  std::vector<JournalRecord> records(5);
+  records[0].kind = JournalRecord::Kind::kSubmit;
+  records[0].id = "j1";
+  records[0].s1 = "GGGAAACCC";
+  records[0].s2 = "GGAUCC";
+  records[0].params.unit_weights = true;
+  records[0].params.min_hairpin = 3;
+  records[0].params.reverse = false;
+  records[0].params.algebra = semiring::Algebra::kLogSumExp;
+  records[0].params.temperature = 1.5;
+  records[0].tenant = "acme";
+  records[0].deadline_s = 2.5;
+  records[1].kind = JournalRecord::Kind::kStart;
+  records[1].id = "j1";
+  records[2].kind = JournalRecord::Kind::kDone;
+  records[2].id = "j1";
+  records[2].outcome = pinned_lse_outcome();
+  records[3].kind = JournalRecord::Kind::kFailed;
+  records[3].id = "j2";
+  records[3].error = "boom";
+  records[4].kind = JournalRecord::Kind::kCancelled;
+  records[4].id = "j3";
+  EXPECT_EQ(to_hex(encode_journal(records)),
+            "52524a4c030000000500000000020000006a3109000000474747414141434343"
+            "060000004747415543430103000000000400000061636d650000000000000440"
+            "01000000000000f83f01020000006a3102020000006a31020000006a310df0ad"
+            "0b09000000060000000000a2410100000000000000e03f010000000000403440"
+            "03020000006a3204000000626f6f6d04020000006a333ed8023e");
+}
+
+TEST(WireFormat, RrbsV2EncodingIsPinned) {
+  BatchState state;
+  state.manifest_digest = 0xDEADBEEFu;
+  JobOutcome a;
+  a.id = "a";
+  a.key = 0x12345678u;
+  a.m = 9;
+  a.n = 6;
+  a.score = 18.0f;
+  a.seconds = 0.125;
+  JobOutcome rejected;
+  rejected.id = "r";
+  rejected.rejected = true;
+  state.completed = {a, rejected, pinned_lse_outcome()};
+  EXPECT_EQ(to_hex(encode_batch_state(state)),
+            "5252425302000000efbeadde0300000001000000617856341209000000060000"
+            "00000090410000000000000000c03f0000000000000000000100000072000000"
+            "0000000000000000000000000000010000000000000000000000000000000000"
+            "020000006a310df0ad0b09000000060000000000a2410100000000000000e03f"
+            "0100000000004034409bb709e5");
+}
+
+TEST(WireFormat, RrjlV1DecodesWithTropicalDefaults) {
+  // A pre-quota, pre-bppart journal: submit "old" (reverse on), then its
+  // outcome (score 7, 0.25 s).
+  const std::vector<JournalRecord> records = decode_journal(from_hex(
+      "52524a4c010000000200000000030000006f6c64090000004747474141414343"
+      "430600000047474155434300000000000102030000006f6c64030000006f6c64"
+      "7856341209000000060000000000e0400000000000000000d03f37f34041"));
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].kind, JournalRecord::Kind::kSubmit);
+  EXPECT_EQ(records[0].s1, "GGGAAACCC");
+  EXPECT_TRUE(records[0].params.reverse);
+  EXPECT_EQ(records[0].tenant, "");
+  EXPECT_EQ(records[0].deadline_s, 0.0);
+  EXPECT_EQ(records[0].params.algebra, semiring::Algebra::kTropical);
+  EXPECT_EQ(records[0].params.temperature, 1.0);
+  EXPECT_EQ(records[1].kind, JournalRecord::Kind::kDone);
+  EXPECT_EQ(records[1].outcome.key, 0x12345678u);
+  EXPECT_EQ(records[1].outcome.score, 7.0f);
+  EXPECT_EQ(records[1].outcome.seconds, 0.25);
+  EXPECT_EQ(records[1].outcome.algebra, semiring::Algebra::kTropical);
+  EXPECT_EQ(records[1].outcome.log_z, 0.0);
+}
+
+TEST(WireFormat, RrbsV1DecodesWithTropicalDefaults) {
+  const BatchState state = decode_batch_state(from_hex(
+      "5252425301000000efbeadde01000000030000006f6c64785634120900000006"
+      "0000000000e0400100000000000000d03fb54df23c"));
+  EXPECT_EQ(state.manifest_digest, 0xDEADBEEFu);
+  ASSERT_EQ(state.completed.size(), 1u);
+  const JobOutcome& o = state.completed[0];
+  EXPECT_EQ(o.id, "old");
+  EXPECT_EQ(o.m, 9);
+  EXPECT_EQ(o.n, 6);
+  EXPECT_EQ(o.score, 7.0f);
+  EXPECT_TRUE(o.cache_hit);
+  EXPECT_FALSE(o.rejected);
+  EXPECT_EQ(o.algebra, semiring::Algebra::kTropical);
+  EXPECT_EQ(o.log_z, 0.0);
+}
+
+// ------------------------------------------------- batch == daemon bytes
+
+TEST(DaemonE2E, ExecutedCountsKernelRunsNotCacheHits) {
+  DaemonConfig config;
+  RunningDaemon server(config);
+  DaemonClient client;
+  client.connect("127.0.0.1", server.port);
+  ASSERT_TRUE(client.submit(make_job("first", "GGGAAACCC", "GGAUCC"))
+                  .get("ok")
+                  .as_bool());
+  ASSERT_TRUE(client.result("first", /*wait=*/true).get("ok").as_bool());
+  ASSERT_TRUE(client.submit(make_job("again", "GGGAAACCC", "GGAUCC"))
+                  .get("ok")
+                  .as_bool());
+  const obs::JsonValue again = client.result("again", /*wait=*/true);
+  ASSERT_TRUE(again.get("ok").as_bool());
+  EXPECT_TRUE(again.get("cache_hit").as_bool());
+
+  const obs::JsonValue stats = client.stats();
+  EXPECT_EQ(stats.get("executed").as_number(), 1.0);
+  EXPECT_EQ(stats.get("cache").get("hits").as_number(), 1.0);
+  EXPECT_EQ(server.daemon.stats().jobs_executed, 1u);
+}
+
+/// Result lines with the one non-deterministic field zeroed.
+std::string result_lines(const std::vector<JobOutcome>& outcomes) {
+  std::ostringstream out;
+  write_results(out, outcomes);
+  return std::regex_replace(out.str(), std::regex("\"seconds\":[0-9.]+"),
+                            "\"seconds\":0");
+}
+
+TEST(DaemonE2E, BatchAndDaemonResultLinesAreByteIdentical) {
+  // Distinct tropical pairs, one logsumexp pair, and a duplicate of the
+  // first pair placed after it: bpmax_batch output and the daemon's
+  // (through rri_client's parse -> write_result_line) must not differ.
+  std::vector<Job> jobs = {
+      make_job("t1", "GGGAAACCC", "GGAUCC"),
+      make_job("t2", "ACGUACGUACGUACGU", "UGCAUGCAUGCA"),
+      make_job("t3", "GGGAAACCCAUGC", "UUGCCAAGG"),
+      make_job("lse", "GGGAAACCC", "GGGUUUCCC"),
+      make_job("t1-dup", "gggaaaccc", "GGATCC"),
+  };
+  jobs[3].params.algebra = semiring::Algebra::kLogSumExp;
+  jobs[3].params.temperature = 1.5;
+
+  EngineConfig batch_config;
+  batch_config.workers = 2;
+  batch_config.cache_bytes = 64u << 20;
+  const BatchResult batch = run_batch(jobs, batch_config);
+  ASSERT_EQ(batch.outcomes.size(), jobs.size());
+  EXPECT_TRUE(batch.outcomes.back().cache_hit);
+
+  DaemonConfig daemon_config;
+  daemon_config.workers = 2;
+  RunningDaemon server(daemon_config);
+  DaemonClient client;
+  client.connect("127.0.0.1", server.port);
+  std::vector<JobOutcome> served;
+  for (const Job& job : jobs) {
+    // One at a time, so the duplicate arrives after its primary finished.
+    ASSERT_TRUE(client.submit(job).get("ok").as_bool()) << job.id;
+    const obs::JsonValue doc = client.result(job.id, /*wait=*/true);
+    ASSERT_TRUE(doc.get("ok").as_bool()) << job.id;
+    served.push_back(DaemonClient::outcome_from_response(doc));
+  }
+  EXPECT_EQ(result_lines(served), result_lines(batch.outcomes));
 }
 
 }  // namespace
