@@ -3,11 +3,12 @@
 
 /// \file bpmax_layout.hpp
 /// Layout-generic BPMax fill: the serial-permuted algorithm written
-/// against any table type exposing FTable's block/row vocabulary plus an
-/// inner map of the form column(i2, j2) = j2 - offset(i2). Instantiated
+/// against any table type exposing FTable's m/n/row vocabulary plus an
+/// `inner_map` of the form column(i2, j2) = j2 - offset(i2). Instantiated
 /// with PackedFTable<InnerMapOption1/2> this realizes the two inner
 /// memory maps of the paper's Fig. 10 (bench/fig10 ablation measures the
-/// difference; tests check both produce the bounding-box results).
+/// difference, and also instantiates it over a bounding-box outer map;
+/// tests check both maps reproduce FTable's results).
 ///
 /// Rows remain unit-stride in j2 under both maps — the offset only shifts
 /// each row's origin — so the vectorized inner loops carry over; what
@@ -37,9 +38,10 @@ constexpr int row_offset(int i2) noexcept {
 
 /// Fill `f` (all cells -inf, sized to scores) with the BPMax recurrence,
 /// triangle by triangle with vectorizable inner loops; single-threaded.
-template <typename InnerMap>
-void fill_permuted_layout(PackedFTable<InnerMap>& f, const STable& s1t,
-                          const STable& s2t, const rna::ScoreTables& sc) {
+template <typename Table>
+void fill_permuted_layout(Table& f, const STable& s1t, const STable& s2t,
+                          const rna::ScoreTables& sc) {
+  using InnerMap = typename Table::inner_map;
   const int m = f.m();
   const int n = f.n();
   for (int d1 = 0; d1 < m; ++d1) {
@@ -129,14 +131,14 @@ void fill_permuted_layout(PackedFTable<InnerMap>& f, const STable& s1t,
   }
 }
 
-/// Solve on a packed table; returns the table for inspection.
-template <typename InnerMap>
-PackedFTable<InnerMap> bpmax_solve_packed(const rna::Sequence& s1,
-                                          const rna::Sequence& s2,
-                                          const rna::ScoringModel& model) {
+/// Solve on a table of any layout `fill_permuted_layout` accepts;
+/// returns the table for inspection.
+template <typename Table>
+Table bpmax_solve_layout(const rna::Sequence& s1, const rna::Sequence& s2,
+                         const rna::ScoringModel& model) {
   const int m = static_cast<int>(s1.size());
   const int n = static_cast<int>(s2.size());
-  PackedFTable<InnerMap> f(m, n);
+  Table f(m, n);
   if (m == 0 || n == 0) {
     return f;
   }
@@ -145,6 +147,14 @@ PackedFTable<InnerMap> bpmax_solve_packed(const rna::Sequence& s1,
   const rna::ScoreTables sc(s1, s2, model);
   fill_permuted_layout(f, s1t, s2t, sc);
   return f;
+}
+
+/// Solve on a packed table under inner map `InnerMap`.
+template <typename InnerMap>
+PackedFTable<InnerMap> bpmax_solve_packed(const rna::Sequence& s1,
+                                          const rna::Sequence& s2,
+                                          const rna::ScoringModel& model) {
+  return bpmax_solve_layout<PackedFTable<InnerMap>>(s1, s2, model);
 }
 
 }  // namespace rri::core

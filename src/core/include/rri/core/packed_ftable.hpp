@@ -2,19 +2,16 @@
 #define RRI_CORE_PACKED_FTABLE_HPP
 
 /// \file packed_ftable.hpp
-/// The memory-optimized F-table layouts the paper studies (Phase-II
-/// memory optimization and Fig. 10): the outer triangle is packed so only
-/// the M(M+1)/2 valid strand-1 intervals get a block (halving the paper's
-/// default bounding-box footprint), and the inner triangle can be stored
-/// under either of the two affine maps the paper compares:
+/// The two inner-triangle memory maps the paper compares in Fig. 10, over
+/// FTable's packed outer triangle (the Phase-II memory optimization):
 ///   Option 1: (i2, j2) -> (i2, j2)        — rows aligned by j2
 ///   Option 2: (i2, j2) -> (i2, j2 - i2)   — rows aligned by diagonal
 /// The paper reports Option 1 always performs better; the ablation bench
-/// measures both.
+/// measures both. FTable itself is Option 1.
 
 #include <cstddef>
-#include <limits>
-#include <vector>
+
+#include "rri/core/ftable.hpp"
 
 namespace rri::core {
 
@@ -36,71 +33,43 @@ struct InnerMapOption2 {
   }
 };
 
-/// F-table with packed outer triangle and a policy-selected inner map.
-/// Same accessor vocabulary as FTable so kernels can be written once
-/// against either (see bpmax_layout.hpp).
+/// FTable storage read and written through a policy-selected inner map.
+/// Same accessor vocabulary as FTable so the layout-generic fill
+/// (bpmax_layout.hpp) is written once against either.
 template <typename InnerMap>
 class PackedFTable {
  public:
+  using inner_map = InnerMap;
+
   PackedFTable() = default;
+  PackedFTable(int m, int n) : table_(m, n) {}
 
-  PackedFTable(int m, int n)
-      : m_(m),
-        n_(n),
-        data_(static_cast<std::size_t>(m) * (static_cast<std::size_t>(m) + 1) /
-                  2 * static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-              -std::numeric_limits<float>::infinity()) {}
-
-  int m() const noexcept { return m_; }
-  int n() const noexcept { return n_; }
-  std::size_t allocated() const noexcept { return data_.size(); }
+  int m() const noexcept { return table_.m(); }
+  int n() const noexcept { return table_.n(); }
+  std::size_t allocated() const noexcept { return table_.allocated(); }
 
   float at(int i1, int j1, int i2, int j2) const noexcept {
-    return block(i1, j1)[static_cast<std::size_t>(i2) *
-                             static_cast<std::size_t>(n_) +
-                         InnerMap::column(i2, j2)];
+    return row(i1, j1, i2)[InnerMap::column(i2, j2)];
   }
   float& at(int i1, int j1, int i2, int j2) noexcept {
-    return block(i1, j1)[static_cast<std::size_t>(i2) *
-                             static_cast<std::size_t>(n_) +
-                         InnerMap::column(i2, j2)];
-  }
-
-  float* block(int i1, int j1) noexcept {
-    return data_.data() + block_offset(i1, j1);
-  }
-  const float* block(int i1, int j1) const noexcept {
-    return data_.data() + block_offset(i1, j1);
+    return row(i1, j1, i2)[InnerMap::column(i2, j2)];
   }
 
   /// Pointer such that row(...)[InnerMap::column(i2, j2)] == at(...).
   float* row(int i1, int j1, int i2) noexcept {
-    return block(i1, j1) +
-           static_cast<std::size_t>(i2) * static_cast<std::size_t>(n_);
+    return table_.row(i1, j1, i2);
   }
   const float* row(int i1, int j1, int i2) const noexcept {
-    return block(i1, j1) +
-           static_cast<std::size_t>(i2) * static_cast<std::size_t>(n_);
+    return table_.row(i1, j1, i2);
   }
 
-  /// Packed index of strand-1 interval [i1, j1]: intervals enumerated by
-  /// increasing i1, then j1; bijective onto [0, M(M+1)/2).
+  /// Packed index of strand-1 interval [i1, j1] (FTable's `outer_index`).
   std::size_t tri_index(int i1, int j1) const noexcept {
-    // Row i1 starts after the i1 previous rows of lengths M, M-1, ...
-    const auto i = static_cast<std::size_t>(i1);
-    const auto m = static_cast<std::size_t>(m_);
-    return i * m - i * (i - 1) / 2 + static_cast<std::size_t>(j1 - i1);
+    return outer_index(static_cast<std::size_t>(m()), i1, j1);
   }
 
  private:
-  std::size_t block_offset(int i1, int j1) const noexcept {
-    return tri_index(i1, j1) * static_cast<std::size_t>(n_) *
-           static_cast<std::size_t>(n_);
-  }
-
-  int m_ = 0;
-  int n_ = 0;
-  std::vector<float> data_;
+  FTable table_;
 };
 
 }  // namespace rri::core

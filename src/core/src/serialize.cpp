@@ -35,19 +35,19 @@ T read_pod(std::istream& in, Crc32& crc) {
   return value;
 }
 
-/// Bytes each version stores for an m x n table, excluding the footer.
-/// Computed in unsigned 128-ish pieces with an explicit overflow check:
+/// Bytes each version stores for an m x n table, excluding the footer:
+/// the 20-byte header and the table's blocks, which are exactly what
+/// FTable allocates. Priced in double with an explicit overflow check:
 /// header fields are attacker-controlled bytes at this point.
 std::size_t body_bytes(std::int32_t m, std::int32_t n) {
-  const std::size_t blocks =
-      static_cast<std::size_t>(m) * (static_cast<std::size_t>(m) + 1) / 2;
-  const std::size_t cell_bytes = static_cast<std::size_t>(n) *
-                                 static_cast<std::size_t>(n) * sizeof(float);
-  if (cell_bytes != 0 && blocks > (SIZE_MAX - 20) / cell_bytes) {
+  const double table = table_bytes(static_cast<std::size_t>(m),
+                                   static_cast<std::size_t>(n),
+                                   semiring::Algebra::kTropical);
+  if (!(table < static_cast<double>(SIZE_MAX - 20))) {
     throw SerializeError("implausible F-table dimensions " +
                          std::to_string(m) + " x " + std::to_string(n));
   }
-  return 20 + blocks * cell_bytes;
+  return 20 + static_cast<std::size_t>(table);
 }
 
 /// If `in` is seekable, the number of bytes from the current position to

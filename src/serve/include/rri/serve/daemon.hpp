@@ -10,8 +10,8 @@
 /// to stop instead of for one manifest. The daemon keeps sockets, verbs,
 /// admission, the journal and telemetry; its runtime hooks are the
 /// deadline shed + queued -> running (claim) and done | failed, the
-/// admission release and fail_after (settle). The scheduler's
-/// closed-form cost model gates admission: a job whose F-table exceeds
+/// admission release and fail_after (settle). The scheduler's table
+/// model (core::table_bytes) gates admission: a job whose F-table exceeds
 /// the budget is refused at submit time with a structured error frame
 /// instead of an OOM kill mid-flight. Duplicate submissions of served
 /// pairs hit the runtime's ResultCache.
@@ -64,8 +64,8 @@ struct DaemonConfig {
   core::TileShape3 tile{};
   /// ResultCache byte budget; 0 disables memoization.
   std::size_t cache_bytes = 64u << 20;
-  /// Admission control: a job whose F-table (closed form, the --max-mem
-  /// model) exceeds this is rejected at submit. 0 = unlimited.
+  /// Admission control: a job whose F-table (core::table_bytes, the
+  /// --max-mem model) exceeds this is rejected at submit. 0 = unlimited.
   double job_budget_bytes = 0.0;
   /// Defaults merged under each submit's "params" object.
   JobParams param_defaults{};

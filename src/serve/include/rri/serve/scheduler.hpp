@@ -3,13 +3,14 @@
 
 /// \file scheduler.hpp
 /// Size-aware admission control and ordering for a batch of BPMax jobs.
-/// Costs come from the same closed forms the CLI's --max-mem guard uses:
-/// the table of an (M, N) pair is M²N² cells — 4-byte floats for the
-/// tropical (BPMax) algebra, 8-byte doubles for log-sum-exp (BPPart) —
-/// and the fill is Θ(M³N³) operations. The plan is deterministic for a given
-/// (job list, config): jobs are ordered largest-cost-first (LPT), equal
-/// costs are tie-broken by a seeded hash of the job id, and each job is
-/// assigned to the predicted least-loaded worker. Jobs whose table alone
+/// Memory comes from `core::table_bytes`, the footprint the CLIs'
+/// --max-mem guards use: the table of an (M, N) pair is M(M+1)/2·N² cells
+/// — 4-byte floats for the tropical (BPMax) algebra, 8-byte doubles for
+/// log-sum-exp (BPPart) — and the fill is Θ(M³N³) operations. The plan
+/// is deterministic for a given (job list, config): jobs are ordered
+/// largest-cost-first (LPT), equal costs are tie-broken by a seeded hash
+/// of the job id, and each job is assigned to the predicted least-loaded
+/// worker. Jobs whose table alone
 /// exceeds the per-worker memory budget are rejected up front — a clear
 /// per-job error instead of an OOM kill mid-batch.
 
@@ -17,17 +18,19 @@
 #include <cstdint>
 #include <vector>
 
+#include "rri/semiring/logsumexp.hpp"
 #include "rri/serve/job.hpp"
 
 namespace rri::serve {
 
-/// Closed-form table footprint in bytes for strand lengths (m, n):
-/// M²N² cells of `elem_bytes` each. The element width is the algebra's:
-/// tropical BPMax fills float tables, log-sum-exp BPPart doubles.
-double job_table_bytes(std::size_t m, std::size_t n,
-                       std::size_t elem_bytes = sizeof(float));
+/// Table footprint in bytes for strand lengths (m, n) under `algebra`:
+/// `core::table_bytes`, the bytes the solver allocates. Tropical BPMax
+/// fills float tables, log-sum-exp BPPart doubles.
+double job_table_bytes(
+    std::size_t m, std::size_t n,
+    semiring::Algebra algebra = semiring::Algebra::kTropical);
 
-/// The footprint of one job, element width chosen by its algebra.
+/// The footprint of one job, priced under its algebra.
 double job_table_bytes(const Job& job);
 
 /// The element width (bytes per table cell) of a job's algebra.

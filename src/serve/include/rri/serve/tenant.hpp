@@ -4,8 +4,8 @@
 /// \file tenant.hpp
 /// Per-tenant admission budgets for the serving daemon. Every submit
 /// frame may carry an optional "tenant" string; the governor prices the
-/// job with the same closed-form F-table model as --max-mem and charges
-/// it against that tenant's bucket:
+/// job with the same F-table model as --max-mem (core::table_bytes) and
+/// charges it against that tenant's bucket:
 ///
 ///   - a deterministic token-bucket rate limiter (rate_per_s, burst),
 ///   - a concurrent-job ceiling (jobs admitted but not yet terminal),

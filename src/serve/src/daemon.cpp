@@ -708,7 +708,7 @@ std::string Daemon::submit_response(const Request& req) {
                            "id \"" + req.id +
                                "\" already names a different job");
     }
-    // Admission control: the --max-mem closed form, applied before any
+    // Admission control: the --max-mem table model, applied before any
     // memory is committed. The error frame carries the numbers the
     // client needs to right-size or shard the request.
     if (config_.job_budget_bytes > 0.0 &&
@@ -749,7 +749,7 @@ std::string Daemon::submit_response(const Request& req) {
                                std::to_string(config_.shed_queue_depth),
                            retry_after_s);
     }
-    // Per-tenant quotas, priced with the same closed form.
+    // Per-tenant quotas, priced with the same table model.
     const QuotaDecision decision =
         governor_.admit(req.job.tenant, table_bytes, mono_now_s());
     if (!decision.admitted) {

@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "rri/core/crc32.hpp"
+#include "rri/core/ftable.hpp"
 
 namespace rri::serve {
 namespace {
@@ -22,10 +23,8 @@ std::uint64_t tie_break(std::uint64_t seed, const std::string& id) {
 }  // namespace
 
 double job_table_bytes(std::size_t m, std::size_t n,
-                       std::size_t elem_bytes) {
-  const double dm = static_cast<double>(m);
-  const double dn = static_cast<double>(n);
-  return dm * dm * dn * dn * static_cast<double>(elem_bytes);
+                       semiring::Algebra algebra) {
+  return core::table_bytes(m, n, algebra);
 }
 
 std::size_t job_elem_bytes(const Job& job) noexcept {
@@ -35,7 +34,7 @@ std::size_t job_elem_bytes(const Job& job) noexcept {
 }
 
 double job_table_bytes(const Job& job) {
-  return job_table_bytes(job.s1.size(), job.s2.size(), job_elem_bytes(job));
+  return job_table_bytes(job.s1.size(), job.s2.size(), job.params.algebra);
 }
 
 double job_cost_flops(std::size_t m, std::size_t n) {

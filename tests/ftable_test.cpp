@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "rri/core/bpmax.hpp"
+#include "rri/core/bppart.hpp"
 #include "rri/core/ftable.hpp"
 #include "rri/core/packed_ftable.hpp"
+#include "rri/mpisim/dist_bpmax.hpp"
+#include "rri/rna/random.hpp"
 
 namespace {
 
@@ -14,7 +21,7 @@ TEST(FTable, AllocatesBoundingBox) {
   const FTable f(5, 7);
   EXPECT_EQ(f.m(), 5);
   EXPECT_EQ(f.n(), 7);
-  EXPECT_EQ(f.allocated(), 5u * 5u * 7u * 7u);
+  EXPECT_EQ(f.allocated(), 5u * 6u / 2u * 7u * 7u);
 }
 
 TEST(FTable, InitializedToMinusInfinity) {
@@ -76,6 +83,96 @@ TEST(FTable, BlocksAreRowMajorContiguous) {
   EXPECT_EQ(f.at(0, 1, 1, 2), 2.0f);
 }
 
+TEST(FTable, TableBytesIsAllocatedTimesElementSize) {
+  for (const int m : {1, 2, 3, 7, 16}) {
+    for (const int n : {1, 2, 5, 9, 31}) {
+      const auto um = static_cast<std::size_t>(m);
+      const auto un = static_cast<std::size_t>(n);
+      EXPECT_EQ(table_bytes(um, un, rri::semiring::Algebra::kTropical),
+                static_cast<double>(FTable(m, n).allocated() * sizeof(float)))
+          << m << " x " << n;
+      EXPECT_EQ(table_bytes(um, un, rri::semiring::Algebra::kLogSumExp),
+                static_cast<double>(ZTable(m, n).allocated() *
+                                    sizeof(double)))
+          << m << " x " << n;
+    }
+  }
+}
+
+// ------------------------------------------- lower-triangle invariant
+
+/// Cells with j2 < i2 that no longer hold -inf. ftable.hpp promises no
+/// fill writes them.
+template <typename T>
+int lower_triangle_violations(const BasicFTable<T>& t) {
+  int bad = 0;
+  for (int i1 = 0; i1 < t.m(); ++i1) {
+    for (int j1 = i1; j1 < t.m(); ++j1) {
+      for (int i2 = 0; i2 < t.n(); ++i2) {
+        for (int j2 = 0; j2 < i2; ++j2) {
+          const T v = t.at(i1, j1, i2, j2);
+          if (!(std::isinf(v) && v < 0)) {
+            ++bad;
+          }
+        }
+      }
+    }
+  }
+  return bad;
+}
+
+/// A few small random pairs, including a length-1 strand on each side.
+std::vector<std::pair<rri::rna::Sequence, rri::rna::Sequence>>
+invariant_pairs() {
+  std::vector<std::pair<rri::rna::Sequence, rri::rna::Sequence>> pairs;
+  std::uint64_t seed = 2711;
+  for (const auto& [m, n] :
+       std::vector<std::pair<int, int>>{{9, 23}, {12, 5}, {1, 7}, {6, 1}}) {
+    pairs.emplace_back(rri::rna::random_sequence(m, seed),
+                       rri::rna::random_sequence(n, seed + 1));
+    seed += 2;
+  }
+  return pairs;
+}
+
+TEST(FTableInvariant, NoBpmaxVariantWritesTheLowerTriangle) {
+  const auto model = rri::rna::ScoringModel::bpmax_default();
+  for (const auto& [s1, s2] : invariant_pairs()) {
+    for (const Variant v : all_variants()) {
+      BpmaxOptions options;
+      options.variant = v;
+      options.num_threads = 2;
+      const BpmaxResult r = bpmax_solve(s1, s2, model, options);
+      EXPECT_EQ(lower_triangle_violations(r.f), 0)
+          << variant_name(v) << " " << s1.size() << " x " << s2.size();
+    }
+  }
+}
+
+TEST(FTableInvariant, NoBppartVariantWritesTheLowerTriangle) {
+  const auto model = rri::rna::ScoringModel::bpmax_default();
+  for (const auto& [s1, s2] : invariant_pairs()) {
+    for (const BppartVariant v : all_bppart_variants()) {
+      BppartOptions options;
+      options.variant = v;
+      options.num_threads = 2;
+      const BppartResult r = bppart_solve(s1, s2, model, options);
+      EXPECT_EQ(lower_triangle_violations(r.z), 0)
+          << bppart_variant_name(v) << " " << s1.size() << " x "
+          << s2.size();
+    }
+  }
+}
+
+TEST(FTableInvariant, DistributedBpmaxDoesNotWriteTheLowerTriangle) {
+  const auto model = rri::rna::ScoringModel::bpmax_default();
+  for (const auto& [s1, s2] : invariant_pairs()) {
+    const auto r = rri::mpisim::distributed_bpmax(s1, s2, model, 2);
+    EXPECT_EQ(lower_triangle_violations(r.table), 0)
+        << s1.size() << " x " << s2.size();
+  }
+}
+
 // --------------------------------------------------------------- packed
 
 template <typename T>
@@ -87,8 +184,8 @@ TYPED_TEST_SUITE(PackedFTableTyped, InnerMaps);
 TYPED_TEST(PackedFTableTyped, AllocatesHalfTheOuterBox) {
   const PackedFTable<TypeParam> f(6, 5);
   EXPECT_EQ(f.allocated(), 6u * 7u / 2u * 5u * 5u);
-  // Half the bounding box the default layout uses.
-  EXPECT_LT(f.allocated(), FTable(6, 5).allocated());
+  // The same packed outer triangle as FTable.
+  EXPECT_EQ(f.allocated(), FTable(6, 5).allocated());
 }
 
 TYPED_TEST(PackedFTableTyped, TriIndexIsBijective) {

@@ -176,7 +176,7 @@ TEST(Serialize, SavedSizeIsHalfTheBoundingBox) {
   // 20-byte header + 4-byte CRC-32 footer (format v2).
   const std::size_t payload = stream.str().size() - 24;
   EXPECT_EQ(payload, 10u * 11u / 2u * 36u * sizeof(float));
-  EXPECT_LT(payload, table.allocated() * sizeof(float));
+  EXPECT_EQ(payload, table.allocated() * sizeof(float));
 }
 
 // ------------------------------------------- RRIF v2 integrity hardening

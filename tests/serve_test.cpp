@@ -16,6 +16,7 @@
 
 #include "rri/core/bpmax.hpp"
 #include "rri/core/bppart.hpp"
+#include "rri/core/ftable.hpp"
 #include "rri/core/serialize.hpp"
 #include "rri/mpisim/checkpoint.hpp"
 #include "rri/serve/batch_state.hpp"
@@ -230,14 +231,15 @@ TEST(Scheduler, OrdersLargestCostFirst) {
 }
 
 TEST(Scheduler, CostModelsMatchClosedForms) {
-  EXPECT_EQ(job_table_bytes(10, 20), 10.0 * 10.0 * 20.0 * 20.0 * 4.0);
+  EXPECT_EQ(job_table_bytes(10, 20), 10.0 * 11.0 / 2.0 * 20.0 * 20.0 * 4.0);
   EXPECT_EQ(job_cost_flops(3, 2), 27.0 * 8.0);
 }
 
 TEST(Scheduler, TableBytesPriceTheElementWidth) {
-  // bppart fills an M²N² table of doubles, twice the bpmax footprint.
-  EXPECT_EQ(job_table_bytes(10, 20, sizeof(double)),
-            10.0 * 10.0 * 20.0 * 20.0 * 8.0);
+  // bppart fills an M(M+1)/2·N² table of doubles, twice the bpmax
+  // footprint.
+  EXPECT_EQ(job_table_bytes(10, 20, semiring::Algebra::kLogSumExp),
+            10.0 * 11.0 / 2.0 * 20.0 * 20.0 * 8.0);
   JobParams lse;
   lse.algebra = semiring::Algebra::kLogSumExp;
   const Job tropical = make_job("a", "GGGAAACCC", "GGAUCC");
@@ -246,6 +248,19 @@ TEST(Scheduler, TableBytesPriceTheElementWidth) {
   EXPECT_EQ(job_elem_bytes(partition), sizeof(double));
   EXPECT_EQ(job_table_bytes(partition), 2.0 * job_table_bytes(tropical));
   EXPECT_EQ(job_table_bytes(tropical), job_table_bytes(9, 6));
+}
+
+TEST(Scheduler, JobTableBytesIsCoreTableBytes) {
+  // Admission, the plan and tenant budgets price a job exactly as the
+  // table the solver allocates.
+  JobParams lse;
+  lse.algebra = semiring::Algebra::kLogSumExp;
+  const Job tropical = make_job("a", "GGGAAACCCAUGC", "UUGCCAAGG");
+  const Job partition = make_job("b", "GGGAAACCCAUGC", "UUGCCAAGG", lse);
+  EXPECT_EQ(job_table_bytes(tropical),
+            core::table_bytes(13, 9, semiring::Algebra::kTropical));
+  EXPECT_EQ(job_table_bytes(partition),
+            core::table_bytes(13, 9, semiring::Algebra::kLogSumExp));
 }
 
 TEST(Scheduler, AdmissionUsesTheDoubleWidthForBppart) {

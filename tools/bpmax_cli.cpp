@@ -23,6 +23,7 @@
 #include <sstream>
 
 #include "rri/core/bpmax.hpp"
+#include "rri/core/ftable.hpp"
 #include "rri/core/serialize.hpp"
 #include "rri/core/traceback.hpp"
 #include "rri/core/windowed.hpp"
@@ -411,11 +412,11 @@ int main(int argc, char** argv) {
     const auto s1 = load_sequence(args.positional()[0], args.flag("fasta"));
     const auto s2 = load_sequence(args.positional()[1], args.flag("fasta"));
 
-    // Up-front capacity guard: the F-table footprint is a closed form of
-    // the strand lengths, so an impossible run is a clear message here
-    // instead of an uncaught std::bad_alloc minutes in. Scan mode only
-    // ever allocates window-sized tables; distributed mode replicates
-    // the table once per rank.
+    // Up-front capacity guard: the F-table footprint (core::table_bytes)
+    // is known from the strand lengths, so an impossible run is a clear
+    // message here instead of an uncaught std::bad_alloc minutes in. Scan
+    // mode only ever allocates window-sized tables; distributed mode
+    // replicates the table once per rank.
     char* mm_end = nullptr;
     const std::string max_mem_text = args.option("max-mem");
     const double max_mem_gib = std::strtod(max_mem_text.c_str(), &mm_end);
@@ -425,17 +426,17 @@ int main(int argc, char** argv) {
                            "count, got '%s'\n", max_mem_text.c_str());
       return 2;
     }
-    const double eff_m =
+    const std::size_t eff_m =
         args.flag("scan")
-            ? static_cast<double>(std::min<std::size_t>(
+            ? std::min<std::size_t>(
                   static_cast<std::size_t>(
                       std::max(args.option_int("window"), 0)),
-                  s1.size()))
-            : static_cast<double>(s1.size());
+                  s1.size())
+            : s1.size();
     const double replicas = distributed ? static_cast<double>(ranks) : 1.0;
-    const double need_gib = eff_m * eff_m * static_cast<double>(s2.size()) *
-                            static_cast<double>(s2.size()) * sizeof(float) *
-                            replicas / (1024.0 * 1024.0 * 1024.0);
+    const double need_gib =
+        core::table_bytes(eff_m, s2.size(), semiring::Algebra::kTropical) *
+        replicas / (1024.0 * 1024.0 * 1024.0);
     if (need_gib > max_mem_gib) {
       std::fprintf(stderr,
                    "bpmax: table would need ~%.1f GiB (limit %.1f GiB; use "

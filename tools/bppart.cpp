@@ -9,7 +9,8 @@
 ///
 /// Both strands are read 5'->3'; the solver reverses strand 2 internally
 /// (pass --no-reverse if your input is already 3'->5'). Tables are
-/// double-width: the --max-mem guard prices M²N² cells at 8 bytes each.
+/// double-width: the --max-mem guard prices the packed M(M+1)/2·N²-cell
+/// table (core::table_bytes) at 8 bytes per cell.
 
 #include <algorithm>
 #include <cstdio>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "rri/core/bppart.hpp"
+#include "rri/core/ftable.hpp"
 #include "rri/harness/args.hpp"
 #include "rri/harness/report.hpp"
 #include "rri/harness/timing.hpp"
@@ -214,8 +216,8 @@ int main(int argc, char** argv) {
     const bool reverse = !args.flag("no-reverse");
     const rna::Sequence s2 = reverse ? s2_fwd.reversed() : s2_fwd;
 
-    // Up-front capacity guard: M²N² double-width cells, the same closed
-    // form the serving layer prices lse jobs with.
+    // Up-front capacity guard: the double-width table as
+    // core::table_bytes prices it, as the serving layer prices lse jobs.
     char* mm_end = nullptr;
     const std::string max_mem_text = args.option("max-mem");
     const double max_mem_gib = std::strtod(max_mem_text.c_str(), &mm_end);
@@ -225,10 +227,10 @@ int main(int argc, char** argv) {
                            "count, got '%s'\n", max_mem_text.c_str());
       return 2;
     }
-    const double dm = static_cast<double>(s1.size());
-    const double dn = static_cast<double>(s2.size());
-    const double need_gib = dm * dm * dn * dn * sizeof(double) /
-                            (1024.0 * 1024.0 * 1024.0);
+    const double need_gib =
+        core::table_bytes(s1.size(), s2.size(),
+                          semiring::Algebra::kLogSumExp) /
+        (1024.0 * 1024.0 * 1024.0);
     if (need_gib > max_mem_gib) {
       std::fprintf(stderr,
                    "bppart: table would need ~%.1f GiB at 8 bytes/cell "
