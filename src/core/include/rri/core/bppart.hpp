@@ -85,13 +85,15 @@ class PartTable {
   std::vector<double> data_;
 };
 
-/// Schedules for the inside fill. All variants are bit-identical (the
-/// per-cell reduction order is fixed; parallel schedules only move who
-/// computes a row, never the order of its updates).
+/// Presets of the shared band driver (detail::run_band) for the inside
+/// fill: diagonal scope, row-block items that sweep every split a, then
+/// the no-inter term over the diagonal. All variants are bit-identical
+/// (the per-cell reduction order is fixed; threads only move who computes
+/// a row block, never the order of its updates).
 enum class BppartVariant {
-  kSerial,       ///< single thread, row-streamed kernels
-  kRowParallel,  ///< OpenMP threads cooperate on rows of one triangle
-  kTiled,        ///< OpenMP over TileShape3 i2-tiles (lse_maxplus_tiled)
+  kSerial,       ///< the same driver on one thread, whatever num_threads
+  kRowParallel,  ///< row blocks on num_threads, row-streamed kernels
+  kTiled,        ///< row blocks on num_threads, TileShape3-tiled kernels
 };
 
 const char* bppart_variant_name(BppartVariant v) noexcept;
@@ -101,9 +103,11 @@ struct BppartOptions {
   /// Boltzmann temperature: structures weigh exp(score/T). Must be > 0.
   double temperature = 1.0;
   BppartVariant variant = BppartVariant::kRowParallel;
+  /// Its ti2 is every variant's row-block height; kTiled also tiles its
+  /// kernel with it.
   TileShape3 tile{};
-  /// OpenMP thread count for parallel variants; 0 keeps the runtime's
-  /// current setting.
+  /// OpenMP thread count for kRowParallel and kTiled; 0 keeps the
+  /// runtime's current setting.
   int num_threads = 0;
 };
 

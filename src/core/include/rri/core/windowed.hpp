@@ -22,6 +22,8 @@ struct ScanOptions {
   int stride = 16;   ///< window start step
   /// Solver for each window. Windows already saturate the machine when
   /// there are many, so the default uses the serial in-window variant.
+  /// Its num_threads also sets the window loop's thread count (0 keeps
+  /// the OpenMP default).
   BpmaxOptions solver{Variant::kSerialPermuted, TileShape3{}, 0};
   bool parallel_windows = true;  ///< OpenMP across windows
   /// Scoring algebra per window: kTropical scores each window with the
@@ -44,6 +46,12 @@ std::vector<WindowScore> scan_windows(const rna::Sequence& long_strand,
                                       const rna::Sequence& short_strand,
                                       const rna::ScoringModel& model,
                                       const ScanOptions& options);
+
+/// The most window tables scan_windows holds at once for a long strand of
+/// length `len`: one per window thread, never more than there are windows,
+/// and one when windows run serially. Memory guards price a scan as this
+/// many core::table_bytes of one window.
+std::size_t live_windows(std::size_t len, const ScanOptions& options);
 
 /// The `top_k` highest-scoring windows of a scan, best first (ties broken
 /// by offset).

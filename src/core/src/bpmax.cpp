@@ -1,8 +1,7 @@
 #include "rri/core/bpmax.hpp"
 
-#include <omp.h>
-
 #include "rri/core/bpmax_kernels.hpp"
+#include "rri/core/detail/band_items.hpp"
 #include "rri/core/simd/maxplus_simd.hpp"
 #include "rri/harness/flops.hpp"
 #include "rri/obs/obs.hpp"
@@ -78,33 +77,6 @@ void fill_variant(FTable& f, const STable& s1t, const STable& s2t,
   }
 }
 
-namespace {
-
-/// RAII save/restore of the OpenMP max-thread setting so an explicit
-/// options.num_threads does not leak into the caller's runtime state.
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int requested)
-      : saved_(omp_get_max_threads()), active_(requested > 0) {
-    if (active_) {
-      omp_set_num_threads(requested);
-    }
-  }
-  ~ThreadCountGuard() {
-    if (active_) {
-      omp_set_num_threads(saved_);
-    }
-  }
-  ThreadCountGuard(const ThreadCountGuard&) = delete;
-  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
-
- private:
-  int saved_;
-  bool active_;
-};
-
-}  // namespace
-
 BpmaxResult bpmax_solve(const rna::Sequence& strand1,
                         const rna::Sequence& strand2,
                         const rna::ScoringModel& model,
@@ -144,7 +116,7 @@ BpmaxResult bpmax_solve(const rna::Sequence& strand1,
     result.f = FTable(m, n);
   }
   {
-    ThreadCountGuard guard(options.num_threads);
+    detail::ThreadCountGuard guard(options.num_threads);
     fill_variant(result.f, result.s1, result.s2, scores, options);
   }
   result.score = result.f.at(0, m - 1, 0, n - 1);

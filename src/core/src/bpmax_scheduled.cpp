@@ -21,7 +21,6 @@
 #include "rri/core/detail/triangle_ops.hpp"
 #include "rri/core/simd/maxplus_simd.hpp"
 #include "rri/obs/obs.hpp"
-#include "rri/trace/trace.hpp"
 
 namespace rri::core {
 
@@ -35,7 +34,7 @@ void fill_scheduled(FTable& f, const STable& s1t, const STable& s2t,
     // regions, so the recorded phase times are wall-clock.
     RRI_OBS_PHASE(obs::Phase::kDmpBand);
     detail::run_band(
-        n, d1, first_i1, count, tile, "dmp_band.omp",
+        n, d1, d1, first_i1, count, tile, "dmp_band.omp",
         [&](int i1, int j1, int k1, TileShape3 t, int first, int last) {
           float* acc = f.block(i1, j1);
           const float* a = f.block(i1, k1);
@@ -63,11 +62,7 @@ void fill_scheduled(FTable& f, const STable& s1t, const STable& s2t,
       band(d1, 0, m - d1);
       // Each triangle reads only completed diagonals and its own block.
       RRI_OBS_PHASE(obs::Phase::kFinalize);
-#pragma omp parallel for schedule(dynamic)
-      for (int i1 = 0; i1 < m - d1; ++i1) {
-        RRI_TRACE_SPAN("finalize.omp");
-        finalize(i1, i1 + d1);
-      }
+      detail::run_triangles(d1, m - d1, "finalize.omp", finalize);
     } else {
       for (int i1 = 0; i1 + d1 < m; ++i1) {
         band(d1, i1, 1);

@@ -2,17 +2,18 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
+#include "rri/core/detail/band_items.hpp"
 #include "rri/core/simd/maxplus_simd.hpp"
 #include "rri/harness/flops.hpp"
 #include "rri/obs/obs.hpp"
 #include "rri/semiring/logsumexp.hpp"
-#include "rri/trace/trace.hpp"
 
 namespace rri::core {
 
@@ -21,29 +22,6 @@ namespace {
 using LogSum = semiring::LogSumExp<double>;
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-/// RAII save/restore of the OpenMP max-thread setting (same contract as
-/// the bpmax fill's guard).
-class ThreadCountGuard {
- public:
-  explicit ThreadCountGuard(int requested)
-      : saved_(omp_get_max_threads()), active_(requested > 0) {
-    if (active_) {
-      omp_set_num_threads(requested);
-    }
-  }
-  ~ThreadCountGuard() {
-    if (active_) {
-      omp_set_num_threads(saved_);
-    }
-  }
-  ThreadCountGuard(const ThreadCountGuard&) = delete;
-  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
-
- private:
-  int saved_;
-  bool active_;
-};
 
 /// Scratch rows [row_begin, row_end) of the split operand A' for split
 /// position a of triangle (i1, j1):
@@ -81,90 +59,17 @@ void build_split_rows(double* scratch, const ZTable& z, const PartTable& zn1,
   }
 }
 
-/// Inside fill of one triangle (i1, j1). Per-cell reduction order is
-/// identical in every variant — split a ascending, wedge before R0
-/// within a split, the no-inter term last — so all schedules produce
-/// bit-identical tables despite log-add-exp's non-associativity.
-void fill_triangle(ZTable& z, const PartTable& zn1, const PartTable& zn2,
-                   const std::vector<double>& inter_w, int i1, int j1,
-                   const BppartOptions& options,
-                   std::vector<std::vector<double>>& scratch) {
-  const int n = z.n();
-  double* acc = z.block(i1, j1);
-  const double* znb2 = zn2.data();
-  {
-    RRI_OBS_PHASE(obs::Phase::kDmpBand);
-    switch (options.variant) {
-      case BppartVariant::kSerial: {
-        RRI_TRACE_SPAN("dmp_band.lse");
-        double* sc = scratch[0].data();
-        for (int a = i1; a <= j1; ++a) {
-          build_split_rows(sc, z, zn1, zn2, inter_w.data(), i1, a, j1, n, 0,
-                           n);
-          simd::lse_maxplus_rows(acc, sc, znb2, 0.0, kNegInf, n, 0, n);
-        }
-        break;
-      }
-      case BppartVariant::kRowParallel: {
-        // Row i2 of A' only ever feeds row i2 of acc, so rows are
-        // independent across the whole a-loop and each thread runs its
-        // rows' full split sweep privately.
-#pragma omp parallel
-        {
-          RRI_TRACE_SPAN("dmp_band.lse");
-          double* sc = scratch[static_cast<std::size_t>(
-                                   omp_get_thread_num())]
-                           .data();
-#pragma omp for schedule(static)
-          for (int i2 = 0; i2 < n; ++i2) {
-            for (int a = i1; a <= j1; ++a) {
-              build_split_rows(sc, z, zn1, zn2, inter_w.data(), i1, a, j1, n,
-                               i2, i2 + 1);
-              simd::lse_maxplus_rows(acc, sc, znb2, 0.0, kNegInf, n, i2,
-                                     i2 + 1);
-            }
-          }
-        }
-        break;
-      }
-      case BppartVariant::kTiled: {
-        const TileShape3 tile = options.tile;
-        const int num_tiles = (n + tile.ti2 - 1) / tile.ti2;
-#pragma omp parallel
-        {
-          RRI_TRACE_SPAN("dmp_band.lse");
-          double* sc = scratch[static_cast<std::size_t>(
-                                   omp_get_thread_num())]
-                           .data();
-#pragma omp for schedule(static)
-          for (int t = 0; t < num_tiles; ++t) {
-            const int row_begin = t * tile.ti2;
-            const int row_end =
-                row_begin + tile.ti2 < n ? row_begin + tile.ti2 : n;
-            for (int a = i1; a <= j1; ++a) {
-              build_split_rows(sc, z, zn1, zn2, inter_w.data(), i1, a, j1, n,
-                               row_begin, row_end);
-              simd::lse_maxplus_tiled(acc, sc, znb2, 0.0, kNegInf, n, tile, t,
-                                      t + 1);
-            }
-          }
-        }
-        break;
-      }
-    }
-  }
-  {
-    // No-inter term: acc[i2][j2] logaddexp= Zn1(i1,j1) + Zn2(i2,j2).
-    // Cannot ride the kernels (they always run the R0 reduction too), so
-    // it is a dedicated O(N^2) pass.
-    RRI_OBS_PHASE(obs::Phase::kFinalize);
-    RRI_TRACE_SPAN("finalize.lse");
-    const double no_inter1 = zn1.at(i1, j1);
-    for (int i2 = 0; i2 < n; ++i2) {
-      double* row = z.row(i1, j1, i2);
-      for (int j2 = i2; j2 < n; ++j2) {
-        row[j2] = LogSum::plus(row[j2], no_inter1 + zn2.at(i2, j2));
-      }
+/// No-inter term of triangle (i1, j1): acc[i2][j2] logaddexp=
+/// Zn1(i1,j1) + Zn2(i2,j2). It cannot ride the kernels (they always run
+/// the R0 reduction too), so it is a dedicated O(N^2) pass, the last
+/// update every cell receives.
+void add_no_inter(ZTable& z, const PartTable& zn1, const PartTable& zn2,
+                  int i1, int j1) {
+  const double no_inter1 = zn1.at(i1, j1);
+  for (int i2 = 0; i2 < z.n(); ++i2) {
+    double* row = z.row(i1, j1, i2);
+    for (int j2 = i2; j2 < z.n(); ++j2) {
+      row[j2] = LogSum::plus(row[j2], no_inter1 + zn2.at(i2, j2));
     }
   }
 }
@@ -292,21 +197,49 @@ BppartResult bppart_solve(const rna::Sequence& strand1,
       obs::add_bytes(obs::Phase::kFinalize, 12.0 * c.cells);
     }
 #endif
-    ThreadCountGuard guard(options.num_threads);
-    const int num_scratch = options.variant == BppartVariant::kSerial
-                                ? 1
-                                : omp_get_max_threads();
+    // kSerial is the same driver on one thread, which makes one item per
+    // triangle: every row, split a ascending.
+    detail::ThreadCountGuard guard(
+        options.variant == BppartVariant::kSerial ? 1 : options.num_threads);
+    // One split-operand buffer per thread a band stage can run on.
     std::vector<std::vector<double>> scratch(
-        static_cast<std::size_t>(num_scratch));
-    for (auto& s : scratch) {
-      s.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-               kNegInf);
-    }
+        static_cast<std::size_t>(detail::band_threads()),
+        std::vector<double>(
+            static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
+            kNegInf));
+    ZTable& z = result.z;
+    // Diagonal scope: each triangle reads only completed diagonals. A
+    // cell's updates arrive split a ascending (wedge before R0 within a
+    // split), then the no-inter term, in every variant.
     for (int d1 = 0; d1 < m; ++d1) {
-      for (int i1 = 0; i1 + d1 < m; ++i1) {
-        fill_triangle(result.z, result.zn1, result.zn2, result.inter_w, i1,
-                      i1 + d1, options, scratch);
+      {
+        RRI_OBS_PHASE(obs::Phase::kDmpBand);
+        detail::run_band(
+            n, d1, d1 + 1, 0, m - d1, options.tile, "dmp_band.lse",
+            [&](int i1, int j1, int a, TileShape3 t, int first, int last) {
+              double* sc =
+                  scratch[static_cast<std::size_t>(omp_get_thread_num())]
+                      .data();
+              const int row_begin = first * t.ti2;
+              const int row_end = std::min(last * t.ti2, n);
+              build_split_rows(sc, z, result.zn1, result.zn2,
+                               result.inter_w.data(), i1, a, j1, n,
+                               row_begin, row_end);
+              if (options.variant == BppartVariant::kTiled) {
+                simd::lse_maxplus_tiled(z.block(i1, j1), sc,
+                                        result.zn2.data(), 0.0, kNegInf, n,
+                                        t, first, last);
+              } else {
+                simd::lse_maxplus_rows(z.block(i1, j1), sc,
+                                       result.zn2.data(), 0.0, kNegInf, n,
+                                       row_begin, row_end);
+              }
+            });
       }
+      RRI_OBS_PHASE(obs::Phase::kFinalize);
+      detail::run_triangles(d1, m - d1, "finalize.lse", [&](int i1, int j1) {
+        add_no_inter(z, result.zn1, result.zn2, i1, j1);
+      });
     }
   }
   result.log_z = result.z.at(0, m - 1, 0, n - 1);

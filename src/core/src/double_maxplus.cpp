@@ -89,7 +89,7 @@ void fill_by_diagonals(BasicFTable<T>& f, std::uint64_t seed, DmpVariant v,
     {
       RRI_OBS_PHASE(obs::Phase::kDmpBand);
       detail::run_band(
-          n, d1, first_i1, count, tile, kernels.span,
+          n, d1, d1, first_i1, count, tile, kernels.span,
           [&](int i1, int j1, int k1, TileShape3 t, int first, int last) {
             T* acc = f.block(i1, j1);
             const T* a = f.block(i1, k1);

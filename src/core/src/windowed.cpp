@@ -1,11 +1,48 @@
 #include "rri/core/windowed.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 
 #include "rri/core/bppart.hpp"
+#include "rri/core/detail/band_items.hpp"
 #include "rri/obs/obs.hpp"
 
 namespace rri::core {
+
+namespace {
+
+int clamped_window(int len, const ScanOptions& options) {
+  return std::max(1, std::min(options.window, std::max(len, 1)));
+}
+
+/// Window start offsets of a scan over a strand of length len, in order.
+std::vector<int> window_offsets(int len, const ScanOptions& options) {
+  const int window = clamped_window(len, options);
+  const int stride = std::max(1, options.stride);
+  std::vector<int> offsets;
+  for (int off = 0; off < len; off += stride) {
+    offsets.push_back(off);
+    if (off + window >= len) {
+      break;  // this window already reaches the end
+    }
+  }
+  return offsets;
+}
+
+}  // namespace
+
+std::size_t live_windows(std::size_t len, const ScanOptions& options) {
+  const std::size_t windows =
+      window_offsets(static_cast<int>(len), options).size();
+  if (!options.parallel_windows) {
+    return std::min<std::size_t>(windows, 1);
+  }
+  const int threads = options.solver.num_threads > 0
+                          ? options.solver.num_threads
+                          : omp_get_max_threads();
+  return std::min(windows, static_cast<std::size_t>(threads));
+}
 
 std::vector<WindowScore> scan_windows(const rna::Sequence& long_strand,
                                       const rna::Sequence& short_strand,
@@ -15,17 +52,9 @@ std::vector<WindowScore> scan_windows(const rna::Sequence& long_strand,
   // per-window solves report under their own phases.
   RRI_OBS_PHASE(obs::Phase::kScan);
   const int len = static_cast<int>(long_strand.size());
-  const int window = std::max(1, std::min(options.window, std::max(len, 1)));
-  const int stride = std::max(1, options.stride);
-
-  std::vector<int> offsets;
-  for (int off = 0; off < len; off += stride) {
-    offsets.push_back(off);
-    if (off + window >= len) {
-      break;  // this window already reaches the end
-    }
-  }
-  if (offsets.empty() && len == 0) {
+  const int window = clamped_window(len, options);
+  const std::vector<int> offsets = window_offsets(len, options);
+  if (offsets.empty()) {
     return {};
   }
   RRI_OBS_COUNTER("scan.windows", static_cast<double>(offsets.size()));
@@ -53,6 +82,8 @@ std::vector<WindowScore> scan_windows(const rna::Sequence& long_strand,
   };
 
   if (options.parallel_windows) {
+    // One window table per thread is live at once (live_windows).
+    detail::ThreadCountGuard guard(options.solver.num_threads);
 #pragma omp parallel for schedule(dynamic)
     for (std::size_t idx = 0; idx < offsets.size(); ++idx) {
       solve_one(idx);

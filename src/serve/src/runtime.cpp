@@ -61,8 +61,6 @@ JobOutcome Runtime::execute(const Job& job) {
     if (lse) {
       core::BppartOptions opts;
       opts.temperature = job.params.temperature;
-      opts.variant = kernel_threads_ > 1 ? core::BppartVariant::kRowParallel
-                                         : core::BppartVariant::kSerial;
       opts.tile = tile_;
       opts.num_threads = kernel_threads_;
       value = core::bppart_log_z(job.s1, s2, job.params.model(), opts);

@@ -2,6 +2,7 @@
 
 #include <random>
 
+#include "rri/core/bppart.hpp"
 #include "rri/core/windowed.hpp"
 #include "rri/rna/random.hpp"
 
@@ -71,18 +72,31 @@ TEST(Windowed, ParallelAndSerialAgree) {
   const auto long_strand = rna::random_sequence(48, rng);
   const auto short_strand = rna::random_sequence(6, rng);
   const auto model = rna::ScoringModel::bpmax_default();
-  ScanOptions par;
-  par.window = 12;
-  par.stride = 6;
-  par.parallel_windows = true;
-  ScanOptions ser = par;
-  ser.parallel_windows = false;
-  const auto a = core::scan_windows(long_strand, short_strand, model, par);
-  const auto b = core::scan_windows(long_strand, short_strand, model, ser);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].offset, b[i].offset);
-    EXPECT_EQ(a[i].score, b[i].score);
+  for (const auto algebra :
+       {semiring::Algebra::kTropical, semiring::Algebra::kLogSumExp}) {
+    ScanOptions par;
+    par.window = 12;
+    par.stride = 6;
+    par.parallel_windows = true;
+    par.algebra = algebra;
+    ScanOptions ser = par;
+    ser.parallel_windows = false;
+    const auto a = core::scan_windows(long_strand, short_strand, model, par);
+    const auto b = core::scan_windows(long_strand, short_strand, model, ser);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].offset, b[i].offset);
+      EXPECT_EQ(a[i].score, b[i].score);
+      if (algebra == semiring::Algebra::kLogSumExp) {
+        // Inside the window loop BPPart's band driver runs nested on one
+        // thread; a top-level solve of the same slice must agree.
+        const rna::Sequence slice{std::vector<rna::Base>(
+            long_strand.bases().begin() + a[i].offset,
+            long_strand.bases().begin() + a[i].offset + a[i].length)};
+        EXPECT_EQ(a[i].score, static_cast<float>(core::bppart_log_z(
+                                  slice, short_strand, model)));
+      }
+    }
   }
 }
 

@@ -232,12 +232,8 @@ int run_distributed(const rna::Sequence& s1, const rna::Sequence& s2_fwd,
 }
 
 int run_scan(const rna::Sequence& target, const rna::Sequence& guide_fwd,
-             const rna::ScoringModel& model, const core::BpmaxOptions& opts,
-             bool reverse, bool csv, int window, int stride, int top_k) {
-  core::ScanOptions scan;
-  scan.window = window;
-  scan.stride = stride;
-  scan.solver = opts;
+             const rna::ScoringModel& model, const core::ScanOptions& scan,
+             bool reverse, bool csv, int top_k) {
   const auto scores = core::scan_windows(
       target, reverse ? guide_fwd.reversed() : guide_fwd, model, scan);
   const auto top = core::top_windows(scores, static_cast<std::size_t>(top_k));
@@ -251,7 +247,7 @@ int run_scan(const rna::Sequence& target, const rna::Sequence& guide_fwd,
     return 0;
   }
   std::printf("scanned %zu windows (window=%d stride=%d); top %zu:\n",
-              scores.size(), window, stride, top.size());
+              scores.size(), scan.window, scan.stride, top.size());
   table.print(std::cout);
   if (!top.empty() && top[0].length > 0 && !guide_fwd.empty()) {
     // Re-solve the best window and show its predicted structure.
@@ -262,7 +258,8 @@ int run_scan(const rna::Sequence& target, const rna::Sequence& guide_fwd,
         target.bases().begin() + best.offset,
         target.bases().begin() + best.offset + best.length);
     const rna::Sequence window_seq{std::move(slice)};
-    const auto result = core::bpmax_solve(window_seq, guide, model, opts);
+    const auto result =
+        core::bpmax_solve(window_seq, guide, model, scan.solver);
     const auto js = core::traceback(result, window_seq, guide, model);
     const auto rendered = core::render_structure(
         js, best.length, static_cast<int>(guide.size()));
@@ -415,8 +412,9 @@ int main(int argc, char** argv) {
     // Up-front capacity guard: the F-table footprint (core::table_bytes)
     // is known from the strand lengths, so an impossible run is a clear
     // message here instead of an uncaught std::bad_alloc minutes in. Scan
-    // mode only ever allocates window-sized tables; distributed mode
-    // replicates the table once per rank.
+    // mode allocates window-sized tables, one per window thread
+    // (core::live_windows); distributed mode replicates the table once per
+    // rank.
     char* mm_end = nullptr;
     const std::string max_mem_text = args.option("max-mem");
     const double max_mem_gib = std::strtod(max_mem_text.c_str(), &mm_end);
@@ -433,7 +431,15 @@ int main(int argc, char** argv) {
                       std::max(args.option_int("window"), 0)),
                   s1.size())
             : s1.size();
-    const double replicas = distributed ? static_cast<double>(ranks) : 1.0;
+    core::ScanOptions scan;
+    scan.window = args.option_int("window");
+    scan.stride = args.option_int("stride");
+    scan.solver = opts;
+    const double replicas =
+        distributed ? static_cast<double>(ranks)
+        : args.flag("scan")
+            ? static_cast<double>(core::live_windows(s1.size(), scan))
+            : 1.0;
     const double need_gib =
         core::table_bytes(eff_m, s2.size(), semiring::Algebra::kTropical) *
         replicas / (1024.0 * 1024.0 * 1024.0);
@@ -445,9 +451,8 @@ int main(int argc, char** argv) {
     }
 
     if (args.flag("scan")) {
-      rc = run_scan(s1, s2, model, opts, !args.flag("no-reverse"),
-                    args.flag("csv"), args.option_int("window"),
-                    args.option_int("stride"), args.option_int("top"));
+      rc = run_scan(s1, s2, model, scan, !args.flag("no-reverse"),
+                    args.flag("csv"), args.option_int("top"));
     } else if (distributed) {
       rc = run_distributed(s1, s2, model, !args.flag("no-reverse"),
                            args.flag("csv"), !args.flag("no-structure"),
